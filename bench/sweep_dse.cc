@@ -9,10 +9,11 @@
  * training phases each -- in milliseconds, computes the per-density
  * Pareto frontier on (cycles, energy), and escalates only a bounded
  * number of frontier candidates (--escalate, default 4) to the exact
- * cycle-level engine. It reports the wall-clock advantage
- * (estimate_speedup: mean seconds per simulated point over mean
- * seconds per estimated point; perf_baseline.json pins a floor) and
- * the estimator's cycle error on every escalated point.
+ * cycle-level engine. It reports the estimator's wall clock per point
+ * (scripts/perf_baseline.json pins a ceiling on it), the wall-clock
+ * advantage (estimate_speedup: mean seconds per simulated point over
+ * mean seconds per estimated point) and the estimator's cycle error
+ * on every escalated point.
  *
  * antsim-lint: allow-file(no-wall-clock-in-sim) -- this bench measures
  * the host wall-clock advantage of estimation over simulation by

@@ -7,9 +7,9 @@
 #
 # Each successful suite run also appends one JSON line to
 # BENCH_history.jsonl at the repo root (timestamp, headline geomeans,
-# stage wall clocks, trace-cache roll-up), building a perf trajectory
-# across commits; `scripts/check_perf.py --trend` prints the delta of
-# the newest entry against the previous one.
+# stage wall clocks, generated-plane roll-up), building a perf
+# trajectory across commits; `scripts/check_perf.py --trend` prints the
+# delta of the newest entry against the previous one.
 #
 # Usage: scripts/bench_all.sh [--smoke] [build-dir]
 #   --smoke    tiny configuration (2 samples, 2 threads) for CI: same
@@ -73,8 +73,8 @@ python3 "${repo_root}/scripts/validate_report.py" \
 
 # Append this run's headline numbers to the perf trajectory. The entry
 # is one JSON object per line (jsonl): summary geomeans and stage wall
-# clocks verbatim, plus a trace-cache roll-up summed over every run's
-# profile.census section.
+# clocks verbatim, plus the generated-plane count summed over every
+# run's profile.census section.
 history="${repo_root}/BENCH_history.jsonl"
 python3 - "${merged}" "${history}" "${smoke}" <<'PY'
 import json
@@ -89,8 +89,7 @@ summary = merged.get("summary", {})
 census = {}
 for run in merged.get("runs", {}).values():
     for key, value in run.get("profile", {}).get("census", {}).items():
-        if key in ("trace_cache_hits", "trace_cache_misses",
-                   "trace_planes_generated") and isinstance(value, int):
+        if key == "trace_planes_generated" and isinstance(value, int):
             census[key] = census.get(key, 0) + value
 
 entry = {
@@ -98,7 +97,7 @@ entry = {
     "smoke": smoke == "1",
 }
 for key in ("speedup_geomean", "energy_reduction_geomean",
-            "rcp_avoided_mean", "estimate_speedup"):
+            "rcp_avoided_mean", "estimate_ms_per_point"):
     if key in summary:
         entry[key] = summary[key]
 entry["stage_seconds"] = summary.get("stage_seconds", {})

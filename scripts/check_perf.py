@@ -13,13 +13,13 @@ known-good smoke run. REPORT.json is a merged BENCH_antsim.json (see
 scripts/bench_all.sh); its summary.stage_seconds is compared stage by
 stage and the check fails if any stage exceeds factor * baseline
 (default 2x -- wide enough for machine-to-machine variance, narrow
-enough to catch an accidental revert of the census/trace-cache fast
-paths).
+enough to catch an accidental revert of the census and fused
+plane-generation fast paths).
 
-When the baseline carries an "estimate_speedup_min" number, the
-report's summary.estimate_speedup (the bench/sweep_dse wall-clock
-advantage of analytical estimation over exact simulation) must meet
-it; see check_estimate_speedup below.
+When the baseline carries an "estimate_ms_per_point_max" number, the
+report's summary.estimate_ms_per_point (the bench/sweep_dse wall clock
+of analytical estimation per design point) must stay at or under it;
+see check_estimate_ms_per_point below.
 
 When one or more --micro reports are given (google-benchmark
 --benchmark_format=json output from bench/micro_census and
@@ -42,8 +42,8 @@ sub-50ms stages are timer noise, not signal.
 
 --trend is informational, never a gate: it reads the BENCH_history.jsonl
 appended by scripts/bench_all.sh (one JSON object per suite run:
-timestamp, geomeans, stage seconds, trace-cache roll-up) and prints the
-delta of the newest entry against the one before it. Machine-to-machine
+timestamp, geomeans, stage seconds, generated-plane roll-up) and prints
+the delta of the newest entry against the one before it. Machine-to-machine
 variance makes an automatic gate on history meaningless; the value is a
 human-readable trajectory in the CI log.
 
@@ -221,30 +221,30 @@ def write_job_summary(rows, factor, report_path):
             err), file=sys.stderr)
 
 
-def check_estimate_speedup(baseline, report):
-    """Gate the estimator's wall-clock advantage over simulation.
+def check_estimate_ms_per_point(baseline, report):
+    """Gate the estimator's own wall clock per design point.
 
-    The baseline's "estimate_speedup_min" is the minimum
-    summary.estimate_speedup (mean seconds per exactly-simulated design
-    point over mean seconds per estimated point, measured by
-    bench/sweep_dse) a run must keep. The whole point of the --estimate
-    fast path is seconds-scale design sweeps; a change that makes the
-    estimator only, say, 10x faster than simulation has silently
-    re-introduced per-nonzero work and must fail loudly."""
-    minimum = baseline.get("estimate_speedup_min")
-    if minimum is None:
+    The baseline's "estimate_ms_per_point_max" is the ceiling on
+    summary.estimate_ms_per_point (bench/sweep_dse's estimation seconds
+    over its grid points). The whole point of the --estimate fast path
+    is seconds-scale design sweeps; an estimator that slows past the
+    ceiling has silently re-introduced per-nonzero work and must fail
+    loudly. The gate reads the estimator alone, so a change to the
+    cost of exact simulation cannot trip it."""
+    maximum = baseline.get("estimate_ms_per_point_max")
+    if maximum is None:
         return
-    speedup = report.get("summary", {}).get("estimate_speedup")
-    if speedup is None:
-        fatal("baseline sets estimate_speedup_min but the report's "
-              "summary has no estimate_speedup (sweep_dse missing "
+    ms = report.get("summary", {}).get("estimate_ms_per_point")
+    if ms is None:
+        fatal("baseline sets estimate_ms_per_point_max but the report's "
+              "summary has no estimate_ms_per_point (sweep_dse missing "
               "from the suite?)")
-    verdict = "ok" if speedup >= float(minimum) else "REGRESSED"
-    print("check_perf: estimate_speedup {:8.0f}x  (min {:.0f}x)  {}".format(
-        speedup, float(minimum), verdict))
+    verdict = "ok" if ms <= float(maximum) else "REGRESSED"
+    print("check_perf: estimate_ms_per_point {:.3f}  (max {:.3f})  "
+          "{}".format(ms, float(maximum), verdict))
     if verdict == "REGRESSED":
-        fatal("estimator wall-clock advantage {:.0f}x fell below the "
-              "{:.0f}x floor".format(speedup, float(minimum)))
+        fatal("estimator took {:.3f} ms per design point, over the "
+              "{:.3f} ms ceiling".format(ms, float(maximum)))
 
 
 def run_trend(args):
@@ -284,9 +284,11 @@ def run_trend(args):
             print("check_perf:   {:<28} {:10.4f}{}  (no previous "
                   "value)".format(label, cur, unit))
 
-    for key in ("speedup_geomean", "energy_reduction_geomean",
-                "rcp_avoided_mean", "estimate_speedup"):
-        delta_line(key, current.get(key), previous.get(key), "x")
+    for key, unit in (("speedup_geomean", "x"),
+                      ("energy_reduction_geomean", "x"),
+                      ("rcp_avoided_mean", "x"),
+                      ("estimate_ms_per_point", "ms")):
+        delta_line(key, current.get(key), previous.get(key), unit)
     stages_cur = current.get("stage_seconds", {})
     stages_prev = previous.get("stage_seconds", {})
     if isinstance(stages_cur, dict):
@@ -373,7 +375,7 @@ def main(argv):
         fatal("stage(s) regressed beyond {:.1f}x baseline: {}".format(
             factor, ", ".join(failures)))
 
-    check_estimate_speedup(load_json(baseline_path), report)
+    check_estimate_ms_per_point(load_json(baseline_path), report)
 
     if micro_paths:
         pairs = load_json(baseline_path).get("micro_speedups")

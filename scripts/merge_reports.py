@@ -101,14 +101,18 @@ def main(argv):
     }
     if not summary["stage_seconds"]:
         fatal("abl_threads report carries no profile section")
-    # sweep_dse's wall-clock advantage of estimation over simulation.
-    # Optional (older suites did not run the sweep); check_perf.py
-    # gates it against estimate_speedup_min when present.
+    # sweep_dse's estimator wall clock per design point. Optional
+    # (older suites did not run the sweep); check_perf.py gates it
+    # against estimate_ms_per_point_max when present.
     if "sweep_dse" in runs:
-        speedup = runs["sweep_dse"]["metrics"].get("estimate_speedup")
-        if speedup is None:
-            fatal("sweep_dse run has no metric 'estimate_speedup'")
-        summary["estimate_speedup"] = speedup
+        metrics = runs["sweep_dse"]["metrics"]
+        for key in ("estimate_seconds", "grid_points"):
+            if key not in metrics:
+                fatal("sweep_dse run has no metric '{}'".format(key))
+        if metrics["grid_points"] <= 0:
+            fatal("sweep_dse run estimated no design points")
+        summary["estimate_ms_per_point"] = (
+            metrics["estimate_seconds"] / metrics["grid_points"] * 1e3)
 
     merged = {
         "schema_version": 1,

@@ -1,123 +1,57 @@
 /**
  * @file
- * Trace plane cache: generate each distinct seeded plane exactly once.
- *
- * Every sparse plane the trace generator produces is a pure function
- * of (a) the Rng state the generation starts from and (b) the plane
- * recipe (dims, sparsity, method, embedding, rotation). Benchmarks
- * that simulate the same network on several accelerators or thread
- * counts re-derive identical Rng states via the mixSeed hierarchy and
- * regenerate byte-identical planes from scratch each time -- the
- * simulator's own redundant computation.
- *
- * cachedCsrPlane keys a process-wide cache by (pre-generation Rng
- * state, recipe). On a hit it restores the recorded post-generation
- * Rng state -- so the caller's downstream random stream is exactly what
- * a fresh generation would have left -- and returns the shared
- * immutable plane. On a miss the plane is built by generateCsrPlane,
- * a fused generator that draws the identical random stream as the
- * legacy generatePlane -> bf16Round -> embedPlane -> fromDense ->
- * rotated180 pipeline but emits CSR directly, skipping the dense
- * intermediates (bit-identical output; proven by
- * tests/census_property_test.cc).
- *
- * The cache is enabled by default; set ANTSIM_TRACE_CACHE=0 (or call
- * trace_cache::setEnabled(false), or pass --trace-cache=false to the
- * benches) to generate every plane from scratch. Hit/miss/generated
- * totals are process-wide relaxed atomics surfaced in the run report's
- * profile section -- never in NetworkStats, which must stay
- * byte-identical with the cache on or off.
+ * The five trace_cache calls perfbench/driver.cc makes. There is no
+ * plane cache: makeConvPhaseTask generates every plane where it is
+ * used. hits() is always 0, misses() equals planesGenerated(), and the
+ * toggle is ignored. The next benchmark change deletes this header
+ * together with the driver's calls.
  */
 
 #ifndef ANTSIM_WORKLOAD_TRACE_CACHE_HH
 #define ANTSIM_WORKLOAD_TRACE_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 
-#include "tensor/csr.hh"
-#include "util/rng.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
-
-/**
- * Everything that determines a generated plane besides the Rng state:
- * the inner generated dims, how it is sparsified, how it is embedded
- * into the padded/dilated output plane, and whether the CSR is rotated
- * by 180 degrees (backward-phase kernels).
- */
-struct PlaneRecipe
-{
-    /** Generated (inner) plane height. */
-    std::uint32_t height = 0;
-    /** Generated (inner) plane width. */
-    std::uint32_t width = 0;
-    /** Target sparsity in [0, 1]. */
-    double sparsity = 0.0;
-    /** Masking method. */
-    SparsifyMethod method = SparsifyMethod::Bernoulli;
-    /** Embedded plane height (== height when not embedded). */
-    std::uint32_t outHeight = 0;
-    /** Embedded plane width (== width when not embedded). */
-    std::uint32_t outWidth = 0;
-    /** Embedding border offset. */
-    std::uint32_t offset = 0;
-    /** Embedding dilation (backward-phase zero-dilation). */
-    std::uint32_t dilation = 1;
-    /** Rotate the final CSR by 180 degrees (backward kernels). */
-    bool rotate = false;
-
-    /** Recipe for a plane used as-is (no embedding, no rotation). */
-    static PlaneRecipe
-    plain(std::uint32_t height, std::uint32_t width, double sparsity,
-          SparsifyMethod method)
-    {
-        return {height, width, sparsity, method, height, width, 0, 1,
-                false};
-    }
-
-    bool operator==(const PlaneRecipe &o) const = default;
-};
-
-/**
- * Generate the plane described by (@p recipe, @p rng) as CSR directly.
- * Consumes exactly the same random stream and produces bit-identical
- * values/columns/rowPtr arrays as the legacy dense pipeline.
- */
-CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
-
-/**
- * The cached front-end: returns the shared immutable plane for
- * (@p recipe, @p rng state), generating it at most once per process.
- * @p rng is always left in the same state a fresh generation would
- * leave it in.
- */
-std::shared_ptr<const CsrMatrix> cachedCsrPlane(const PlaneRecipe &recipe,
-                                                Rng &rng);
-
 namespace trace_cache {
 
-/** Whether cachedCsrPlane reuses planes (default on; env override). */
-bool enabled();
+/** generateCsrPlane calls so far (tracePlanesGenerated). */
+inline std::uint64_t
+planesGenerated()
+{
+    return tracePlanesGenerated();
+}
 
-/** Toggle reuse at runtime (benches' --trace-cache flag). */
-void setEnabled(bool enabled);
+/** Always 0: no plane is reused. */
+inline std::uint64_t
+hits()
+{
+    return 0;
+}
 
-/** Lookups served from the cache. */
-std::uint64_t hits();
+/** Every plane is generated, so this equals planesGenerated(). */
+inline std::uint64_t
+misses()
+{
+    return planesGenerated();
+}
 
-/** Lookups that generated (cache off counts here too). */
-std::uint64_t misses();
+/** Always false. */
+inline bool
+enabled()
+{
+    return false;
+}
 
-/** Planes actually generated by generateCsrPlane. */
-std::uint64_t planesGenerated();
-
-/** Drop every cached plane and zero the statistics. */
-void reset();
+/** Ignores its argument. */
+inline void
+setEnabled(bool)
+{
+}
 
 } // namespace trace_cache
-
 } // namespace antsim
 
 #endif // ANTSIM_WORKLOAD_TRACE_CACHE_HH

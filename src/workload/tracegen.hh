@@ -32,8 +32,6 @@
 
 namespace antsim {
 
-struct PlaneRecipe;
-
 /** How a target sparsity is imposed on a plane. */
 enum class SparsifyMethod {
     /** i.i.d. Bernoulli mask at the target rate. */
@@ -41,6 +39,59 @@ enum class SparsifyMethod {
     /** Keep the top (1 - sparsity) fraction by magnitude. */
     TopK,
 };
+
+/**
+ * Everything that determines a generated plane besides the Rng state:
+ * the inner generated dims, how it is sparsified, how it is embedded
+ * into the padded/dilated output plane, and whether the CSR is rotated
+ * by 180 degrees (backward-phase kernels).
+ */
+struct PlaneRecipe
+{
+    /** Generated (inner) plane height. */
+    std::uint32_t height = 0;
+    /** Generated (inner) plane width. */
+    std::uint32_t width = 0;
+    /** Target sparsity in [0, 1]. */
+    double sparsity = 0.0;
+    /** Masking method. */
+    SparsifyMethod method = SparsifyMethod::Bernoulli;
+    /** Embedded plane height (== height when not embedded). */
+    std::uint32_t outHeight = 0;
+    /** Embedded plane width (== width when not embedded). */
+    std::uint32_t outWidth = 0;
+    /** Embedding border offset. */
+    std::uint32_t offset = 0;
+    /** Embedding dilation (backward-phase zero-dilation). */
+    std::uint32_t dilation = 1;
+    /** Rotate the final CSR by 180 degrees (backward kernels). */
+    bool rotate = false;
+
+    /** Recipe for a plane used as-is (no embedding, no rotation). */
+    static PlaneRecipe
+    plain(std::uint32_t height, std::uint32_t width, double sparsity,
+          SparsifyMethod method)
+    {
+        return {height, width, sparsity, method, height, width, 0, 1,
+                false};
+    }
+};
+
+/**
+ * Generate the plane described by (@p recipe, @p rng) as CSR directly.
+ * A fused generator: it consumes exactly the same random stream and
+ * produces bit-identical values/columns/rowPtr arrays as the legacy
+ * generatePlane -> embedPlane -> fromDense -> rotated180 pipeline, but
+ * skips the dense intermediates (tests/census_property_test.cc).
+ */
+CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
+
+/**
+ * Process-wide number of generateCsrPlane calls (a relaxed atomic).
+ * Reported in the run report's profile section only, never in
+ * NetworkStats.
+ */
+std::uint64_t tracePlanesGenerated();
 
 /** Target sparsities of the three training tensors. */
 struct SparsityProfile
@@ -107,12 +158,9 @@ struct PlanePair
 struct StackTask
 {
     ProblemSpec spec;
-    /**
-     * Immutable shared planes: tasks from the trace cache alias the
-     * cached planes instead of owning copies (src/workload/trace_cache).
-     */
-    std::vector<std::shared_ptr<const CsrMatrix>> kernels;
-    std::shared_ptr<const CsrMatrix> image;
+    /** The task's own freshly generated planes, one per stack entry. */
+    std::vector<std::unique_ptr<const CsrMatrix>> kernels;
+    std::unique_ptr<const CsrMatrix> image;
 
     /** Borrowed pointer view for PeModel::runStack. */
     std::vector<const CsrMatrix *>

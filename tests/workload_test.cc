@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "ant/ant_pe.hh"
 #include "conv/dense_conv.hh"
+#include "report/report.hh"
+#include "scnn/scnn_pe.hh"
 #include "workload/layer.hh"
+#include "workload/runner.hh"
+#include "workload/trace_cache.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
@@ -165,6 +172,77 @@ TEST(Tracegen, DeterministicGivenSameRngSeed)
         layer, TrainingPhase::Forward, SparsityProfile::swat(0.9), b);
     EXPECT_EQ(p1.kernel, p2.kernel);
     EXPECT_EQ(p1.image, p2.image);
+}
+
+/** Same dims and the same bytes in every CSR array. */
+bool
+sameBytes(const CsrMatrix &a, const CsrMatrix &b)
+{
+    return a == b &&
+        std::memcmp(a.values().data(), b.values().data(),
+                    a.values().size() * sizeof(float)) == 0;
+}
+
+TEST(Tracegen, TaskPlanesAndRngStateDependOnlyOnSeedStream)
+{
+    const ConvLayer layer{"c", 3, 4, 10, 10, 3, 2, 1};
+    for (const TrainingPhase phase :
+         {TrainingPhase::Forward, TrainingPhase::Backward,
+          TrainingPhase::Update}) {
+        Rng a(mixSeed(7, 0, 0, 0));
+        Rng b(mixSeed(7, 0, 0, 0));
+        const StackTask first =
+            makeConvPhaseTask(layer, phase, SparsityProfile::swat(0.8), a);
+        const StackTask second =
+            makeConvPhaseTask(layer, phase, SparsityProfile::swat(0.8), b);
+        EXPECT_TRUE(sameBytes(*first.image, *second.image));
+        ASSERT_EQ(first.kernels.size(), second.kernels.size());
+        for (std::size_t i = 0; i < first.kernels.size(); ++i)
+            EXPECT_TRUE(sameBytes(*first.kernels[i], *second.kernels[i]))
+                << "kernel " << i;
+        // The downstream random streams stay aligned.
+        EXPECT_EQ(a.state(), b.state());
+    }
+}
+
+TEST(Tracegen, AntStatsUnaffectedByAnEarlierScnnRun)
+{
+    const std::vector<ConvLayer> net = {{"c0", 3, 4, 12, 12, 3, 1, 1},
+                                        {"c1", 4, 4, 12, 12, 3, 2, 1}};
+    RunConfig config;
+    config.sampleCap = 2;
+    const auto antBytes = [&] {
+        AntPe ant;
+        return networkStatsToJson(
+                   runConvNetwork(ant, net, SparsityProfile::swat(0.9),
+                                  config),
+                   64)
+            .dump();
+    };
+    const std::string fresh = antBytes();
+    ScnnPe scnn;
+    runConvNetwork(scnn, net, SparsityProfile::swat(0.9), config);
+    EXPECT_EQ(antBytes(), fresh);
+}
+
+TEST(Tracegen, EveryTaskGeneratesEachOfItsPlanes)
+{
+    trace_cache::setEnabled(true);
+    EXPECT_FALSE(trace_cache::enabled());
+    const ConvLayer layer{"c", 3, 5, 10, 10, 3, 1, 1};
+    Rng rng(mixSeed(7, 0, 0, 0));
+    for (const TrainingPhase phase :
+         {TrainingPhase::Forward, TrainingPhase::Backward,
+          TrainingPhase::Update, TrainingPhase::Forward}) {
+        const std::uint64_t planes = trace_cache::planesGenerated();
+        const std::uint64_t misses = trace_cache::misses();
+        const StackTask task = makeConvPhaseTask(
+            layer, phase, SparsityProfile::swat(0.8), rng);
+        const std::uint64_t expected = 1 + task.kernels.size();
+        EXPECT_EQ(trace_cache::planesGenerated() - planes, expected);
+        EXPECT_EQ(trace_cache::misses() - misses, expected);
+        EXPECT_EQ(trace_cache::hits(), 0u);
+    }
 }
 
 TEST(Tracegen, MatmulPairShapes)
