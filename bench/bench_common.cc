@@ -55,7 +55,7 @@ parseOptions(int argc, const char *const *argv,
         "samples",   "seed",        "pes",         "csv",
         "chunk",     "audit",       "threads",     "json",
         "networks",  "trace-out",   "log-level",   "simd",
-        "estimate",  "metrics-out", "host-trace-out"};
+        "estimate",  "host-trace-out"};
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     // Environment first, flags after: --log-level wins over
     // ANTSIM_LOG_LEVEL, --trace-out wins over ANTSIM_TRACE.
@@ -107,18 +107,11 @@ parseOptions(int argc, const char *const *argv,
     }
     if (!options.traceOutPath.empty())
         obs::setEnabled(true);
-    // --metrics-out wins over ANTSIM_METRICS, --host-trace-out over
-    // ANTSIM_HOST_TRACE (same precedence as --trace-out/ANTSIM_TRACE).
-    // A non-empty path switches the collector on for the whole run and
-    // attaches the main thread; pool workers attach themselves.
-    if (g_cli->has("metrics-out")) {
-        options.metricsOutPath = g_cli->get("metrics-out");
-        if (options.metricsOutPath == "true")
-            ANT_FATAL("flag --metrics-out expects an output path");
-    } else if (const char *env = std::getenv("ANTSIM_METRICS");
-               env != nullptr && env[0] != '\0') {
-        options.metricsOutPath = env;
-    }
+    // --host-trace-out wins over ANTSIM_HOST_TRACE (same precedence as
+    // --trace-out/ANTSIM_TRACE). A non-empty path switches host
+    // observability -- span tracer and metrics registry -- on for the
+    // whole run and attaches the main thread; pool workers attach
+    // themselves.
     if (g_cli->has("host-trace-out")) {
         options.hostTraceOutPath = g_cli->get("host-trace-out");
         if (options.hostTraceOutPath == "true")
@@ -127,13 +120,10 @@ parseOptions(int argc, const char *const *argv,
                env != nullptr && env[0] != '\0') {
         options.hostTraceOutPath = env;
     }
-    if (!options.metricsOutPath.empty()) {
-        obs::metrics::setEnabled(true);
-        obs::metrics::threadAttach();
-    }
     if (!options.hostTraceOutPath.empty()) {
         obs::host::setEnabled(true);
         obs::host::threadAttach("main");
+        obs::metrics::threadAttach();
     }
     if (g_cli->getBool("audit"))
         audit::setEnabled(true);
@@ -368,14 +358,10 @@ finish(const BenchOptions &options)
     if (!options.traceOutPath.empty())
         obs::globalSink().writeChromeJson(options.traceOutPath,
                                           options.run.numPes);
-    // Host metrics ride the report only when collection was on, so
-    // metrics-off report bytes stay identical (obs_overhead_test).
-    if (obs::metrics::enabled())
+    // Host metrics ride the report only when host observability was
+    // on, so plain report bytes stay identical (obs_overhead_test).
+    if (obs::host::enabled())
         g_report.setHostMetrics(obs::metrics::snapshot());
-    if (!options.metricsOutPath.empty()) {
-        obs::metrics::writePrometheus(options.metricsOutPath);
-        std::printf("[metrics] wrote %s\n", options.metricsOutPath.c_str());
-    }
     if (!options.hostTraceOutPath.empty()) {
         obs::host::writeChromeJson(options.hostTraceOutPath);
         std::printf("[host-trace] wrote %s\n",

@@ -30,16 +30,15 @@
  *   --trace-out path  write the simulated-time Chrome trace (src/obs,
  *                 docs/OBSERVABILITY.md) to @p path; defaults to the
  *                 ANTSIM_TRACE environment variable when set
- *   --metrics-out path  write the host-side metrics registry
- *                 (src/obs/metrics.hh) as Prometheus text exposition
- *                 to @p path and embed a host_metrics section in the
- *                 --json report; defaults to the ANTSIM_METRICS
- *                 environment variable when set. Never changes
- *                 results, only host-side accounting
- *   --host-trace-out path  write the host-execution Chrome trace
- *                 (src/obs/host_trace.hh: per-stage / per-unit /
- *                 per-worker wall-clock spans) to @p path; defaults to
- *                 the ANTSIM_HOST_TRACE environment variable when set
+ *   --host-trace-out path  turn on host observability: write the
+ *                 host-execution Chrome trace (src/obs/host_trace.hh:
+ *                 per-run / per-stage / per-unit wall-clock spans) to
+ *                 @p path and embed the metrics registry
+ *                 (src/obs/metrics.hh: pool, arena and runner counters,
+ *                 gauges, per-worker accounting) as a host_metrics
+ *                 section in the --json report; defaults to the
+ *                 ANTSIM_HOST_TRACE environment variable when set.
+ *                 Never changes results, only host-side accounting
  *   --log-level L verbosity: error, warn (default), info (adds the
  *                 progress heartbeat), or debug; defaults to the
  *                 ANTSIM_LOG_LEVEL environment variable when set
@@ -87,17 +86,11 @@ struct BenchOptions
      */
     std::string traceOutPath;
     /**
-     * Write the Prometheus text exposition of the host metrics
-     * registry here when non-empty (--metrics-out path, or the
-     * ANTSIM_METRICS environment variable). A non-empty path enables
-     * metrics collection for the whole run and adds a host_metrics
-     * section to the JSON report.
-     */
-    std::string metricsOutPath;
-    /**
      * Write the host-execution Chrome trace here when non-empty
      * (--host-trace-out path, or the ANTSIM_HOST_TRACE environment
-     * variable). A non-empty path enables host span collection.
+     * variable). A non-empty path enables host observability -- span
+     * collection and the metrics registry -- and adds a host_metrics
+     * section to the JSON report.
      */
     std::string hostTraceOutPath;
     /**

@@ -107,20 +107,16 @@ RULES = {
             "randomness must come from util/rng (xoshiro256**, fully "
             "specified) so runs are bit-reproducible across platforms.",
         "whitelist": (
-            # The stage profiler measures host wall-clock by design and
-            # never feeds simulated statistics (docs/MODEL.md Sec. 9).
-            "src/report/profiler.hh",
-            "src/report/profiler.cc",
             # Logging timestamps diagnostics, never simulation state.
             "src/util/logging.hh",
             "src/util/logging.cc",
             # The sanctioned deterministic generator itself.
             "src/util/rng.hh",
             "src/util/rng.cc",
-            # Host-side observability measures wall-clock by design;
-            # instrumented code calls their nowNs() helpers and never
-            # names a clock itself (docs/OBSERVABILITY.md).
-            "src/obs/metrics.hh",
+            # The one host clock site: host observability and the stage
+            # profiler measure wall-clock by design, and every
+            # instrumented site calls obs::host::nowNs() instead of
+            # naming a clock itself (docs/OBSERVABILITY.md).
             "src/obs/host_trace.hh",
             "src/obs/host_trace.cc",
         ),

@@ -48,12 +48,13 @@ variance makes an automatic gate on history meaningless; the value is a
 human-readable trajectory in the CI log.
 
 --overhead gates the cost of observability itself: BASE.json is a
-report from a metrics-off run, METERED.json the same configuration with
---metrics-out/--host-trace-out enabled, and the summed
+report from a plain run, METERED.json the same configuration with host
+observability on (--host-trace-out, the one switch for the host span
+tracer and the metrics registry), and the summed
 profile.stages[].seconds of the metered run must stay within
 --max-overhead-pct (default 3) of the base run. This is the CI teeth
 behind the "one thread-local branch when off, cheap when on" design
-contract of src/obs/metrics.hh.
+contract of src/obs/host_trace.hh and src/obs/metrics.hh.
 
 Only the Python standard library is used: the bench containers and the
 CI runner deliberately have no third-party packages installed.

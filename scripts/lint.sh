@@ -31,17 +31,6 @@ else
     echo "lint: python3 not found, skipping antsim-lint stage" >&2
 fi
 
-# ------------------------------------------------ validator self-tests
-# The Prometheus-exposition linter gates CI artifacts; exercise its own
-# fixtures here so a regression in the validator cannot hide one in the
-# exposition writer.
-if command -v python3 >/dev/null 2>&1; then
-    echo "lint: running validate_metrics self-test"
-    if ! python3 "${repo_root}/scripts/validate_metrics.py" --self-test; then
-        status=1
-    fi
-fi
-
 # ---------------------------------------------------------------- tidy
 if command -v clang-tidy >/dev/null 2>&1; then
     if [ ! -f "${build_dir}/compile_commands.json" ]; then

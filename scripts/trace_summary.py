@@ -11,11 +11,13 @@ deterministic for a fixed configuration at every thread count.
 --host switches to the host-execution trace written by
 --host-trace-out / ANTSIM_HOST_TRACE (src/obs/host_trace.cc):
 wall-clock run/stage/unit spans per host thread. The summary prints
-the --top spans by *self* time (duration minus the durations of spans
-nested inside it on the same thread -- the time the span itself was on
-the CPU) and a per-thread utilization table (top-level span time over
-the thread's observed makespan). With --check it verifies the host
-contract instead of the simulated-time one:
+a per-thread utilization table (top-level span time over the thread's
+observed makespan), the unit-span count with the p50, p99 and max unit
+wall time in microseconds (nearest-rank percentiles), and the --top
+spans by *self* time (duration minus the durations of spans nested
+inside it on the same thread -- the time the span itself was on the
+CPU). With --check it verifies the host contract instead of the
+simulated-time one:
   - every event carries name/ph/pid/ts, ph is one of M/X/i, and
     durations are non-negative integers;
   - span cats are exactly run/stage/unit;
@@ -137,6 +139,12 @@ def host_self_times(spans):
              for s, d, ts, name, cat, _end in results], errors)
 
 
+def nearest_rank(ordered, pct):
+    """The pct-th percentile of a sorted non-empty list (nearest rank)."""
+    rank = max(1, -(-pct * len(ordered) // 100))
+    return ordered[rank - 1]
+
+
 def host_main(path, events, check, top):
     """Summarize / check a host-execution trace (--host mode)."""
     errors = []
@@ -210,6 +218,13 @@ def host_main(path, events, check, top):
         print("{:<12} {:>14} {:>14} {:>6.1f}% {:>8}".format(
             thread_names.get(tid, "tid {}".format(tid)), top_level,
             makespan, pct, count))
+
+    unit_us = sorted(dur for spans in thread_spans.values()
+                     for _ts, dur, _name, cat in spans if cat == "unit")
+    if unit_us:
+        print("\nunit spans: {}  wall p50 {} us  p99 {} us  max {} us"
+              .format(len(unit_us), nearest_rank(unit_us, 50),
+                      nearest_rank(unit_us, 99), unit_us[-1]))
 
     if instants:
         print("\ninstants:")

@@ -12,6 +12,11 @@
  * (instrumented ant_util / workload code never links ant_obs); the
  * exporter lives in host_trace.cc and is called from bench code.
  *
+ * One switch: setEnabled() below turns on host observability as a
+ * whole -- this tracer and the metrics registry (obs/metrics.hh, whose
+ * threadAttach consults enabled()). Benches drive it from
+ * --host-trace-out / ANTSIM_HOST_TRACE.
+ *
  * Threading: each recording thread owns a ThreadBuf (installed by
  * threadAttach at the pool's thread entry points) and appends spans
  * with no locking. Worker threads only record inside parallelFor item
@@ -25,8 +30,9 @@
  * the simulated-time recorder and the metrics registry.
  *
  * Host wall-clock readings are confined to this whitelisted header
- * (antsim-lint no-wall-clock-in-sim): instrumented code calls nowNs()
- * and never names a clock type itself.
+ * (antsim-lint no-wall-clock-in-sim): instrumented code, the stage
+ * profiler included, calls nowNs() and never names a clock type
+ * itself.
  */
 
 #ifndef ANTSIM_OBS_HOST_TRACE_HH
@@ -94,14 +100,18 @@ registry()
 
 } // namespace detail
 
-/** Whether host tracing is collecting. */
+/** Whether host observability (spans and metrics) is collecting. */
 inline bool
 enabled()
 {
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/** Turn host tracing on or off process-wide (attach is lazy). */
+/**
+ * Turn host observability -- this tracer and the metrics registry --
+ * on or off process-wide. Threads attach lazily; disabling stops new
+ * attachments but leaves existing buffers and shards in place.
+ */
 inline void
 setEnabled(bool on)
 {
@@ -115,7 +125,11 @@ buf()
     return detail::t_buf;
 }
 
-/** Host steady-clock nanoseconds (same clock as metrics::nowNs). */
+/**
+ * Host steady-clock nanoseconds: the one host clock. The stage
+ * profiler, the thread pool's busy/idle accounting, and every span
+ * stamp with it.
+ */
 inline std::uint64_t
 nowNs()
 {

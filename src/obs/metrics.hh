@@ -1,35 +1,42 @@
 /**
  * @file
- * Host-side metrics registry: counters, gauges, and fixed-bin
- * histograms describing the *simulator's own* execution (thread-pool
- * utilization, arena high-water marks, stage wall-clock) -- the
- * complement of src/obs/trace.hh, which records the *modeled
- * hardware's* cycles.
+ * Host-side metrics registry: counters, per-worker counters, and
+ * gauges describing the *simulator's own* execution (thread-pool
+ * utilization, arena traffic and high-water marks) -- the complement
+ * of src/obs/trace.hh, which records the *modeled hardware's* cycles.
+ * Stage and unit wall time are not kept here: the stage profiler
+ * (report/profiler.hh) and the host span tracer (host_trace.hh) own
+ * them.
  *
  * Layering: the producer API below is entirely header-inline (C++17
  * inline variables hold the registry state), so ant_util code -- the
  * thread pool, the arena -- can record without linking ant_obs, which
- * itself links ant_util. Consumer-side code (snapshot, Prometheus
- * exposition, reset) lives in metrics.cc and is only called from
- * bench/report/test code, all of which links ant_obs.
+ * itself links ant_util. Consumer-side code (snapshot, name catalog,
+ * reset) lives in metrics.cc and is only called from bench/report/test
+ * code, all of which links ant_obs.
  *
  * Sharding and determinism: every recording thread owns a MetricShard
  * of relaxed atomics (obtained via threadAttach), so the hot path is
  * uncontended and TSan-clean even while another thread snapshots a
- * live heartbeat. A snapshot merges shards by summation (counters,
- * histogram bins) -- associative and commutative, the same merge
- * discipline as the simulated-time HistogramRegistry -- so the merged
- * totals of a deterministic workload are independent of worker count
- * and scheduling (tests/metrics_test.cc).
+ * live heartbeat. A snapshot merges shards by summation --
+ * associative and commutative, the same merge discipline as the
+ * simulated-time HistogramRegistry -- so the merged totals of a
+ * deterministic workload are independent of worker count and
+ * scheduling (tests/metrics_test.cc).
  *
- * Overhead: when metrics are off (the default), every instrumentation
- * site reduces to one thread-local pointer load and branch --
- * detail::t_shard stays nullptr because threadAttach refuses to
- * install a shard while disabled. tests/obs_overhead_test.cc asserts
- * stats, report JSON, and simulated-time trace bytes are identical
- * with metrics on and off; host wall-clock readings live only here
- * and in host_trace.hh/profiler.hh (antsim-lint whitelist), never in
- * model code.
+ * Switch: there is none of its own. Host observability is one switch
+ * (obs::host::setEnabled, driven by --host-trace-out /
+ * ANTSIM_HOST_TRACE) that governs both the span tracer and this
+ * registry.
+ *
+ * Overhead: when host observability is off (the default), every
+ * instrumentation site reduces to one thread-local pointer load and
+ * branch -- detail::t_shard stays nullptr because threadAttach
+ * refuses to install a shard while disabled. tests/obs_overhead_test.cc
+ * asserts stats, report JSON, and simulated-time trace bytes are
+ * identical with it on and off. Host wall-clock readings live only in
+ * host_trace.hh (antsim-lint whitelist); instrumented code stamps with
+ * obs::host::nowNs().
  */
 
 #ifndef ANTSIM_OBS_METRICS_HH
@@ -37,12 +44,12 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
+
+#include "obs/host_trace.hh"
 
 namespace antsim {
 namespace obs {
@@ -112,46 +119,6 @@ enum class Gauge : unsigned {
 constexpr std::size_t kNumGauges =
     static_cast<std::size_t>(Gauge::NumGauges);
 
-/** Host-side distributions. */
-enum class Hist : unsigned {
-    /** Wall nanoseconds of one simulated unit. */
-    UnitWallNs = 0,
-    /** Item count of each parallelFor job. */
-    PoolJobItems,
-    NumHists
-};
-
-constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::NumHists);
-
-/** Log2 bucket count of every host histogram (last bin = overflow). */
-constexpr std::size_t kHistBins = 40;
-
-/**
- * Log2 bucket of @p value: bucket 0 holds {0}, bucket i >= 1 holds
- * [2^(i-1), 2^i), the last bucket absorbs the overflow tail -- the
- * same layout discipline as obs::Histogram's Log2 kind, so merged
- * bins stay exact integers.
- */
-constexpr std::uint32_t
-histBucket(std::uint64_t value)
-{
-    if (value == 0)
-        return 0;
-    std::uint32_t bit = 0;
-    while (value >>= 1)
-        ++bit;
-    const std::uint32_t bucket = bit + 1;
-    return bucket < kHistBins ? bucket
-                              : static_cast<std::uint32_t>(kHistBins - 1);
-}
-
-/**
- * Number of profiled host stages, mirrored from report/profiler.hh's
- * Stage enum (ant_obs cannot include report headers without inverting
- * the library layering; profiler.cc static_asserts the two agree).
- */
-constexpr std::size_t kNumStages = 4;
-
 /**
  * One thread's slice of the registry. All cells are relaxed atomics:
  * the owning thread is the only writer, but a heartbeat or snapshot
@@ -164,30 +131,17 @@ struct MetricShard
     std::array<std::array<std::atomic<std::uint64_t>, kNumWorkerCounters>,
                kMaxWorkers>
         workers{};
-    std::array<std::atomic<std::uint64_t>, kNumStages> stageNs{};
-    std::array<std::atomic<std::uint64_t>, kNumStages> stageCalls{};
-    struct HistCells
-    {
-        std::array<std::atomic<std::uint64_t>, kHistBins> bins{};
-        std::atomic<std::uint64_t> count{0};
-        std::atomic<std::uint64_t> sum{0};
-        std::atomic<std::uint64_t> min{~0ull};
-        std::atomic<std::uint64_t> max{0};
-    };
-    std::array<HistCells, kNumHists> hists{};
 };
 
 namespace detail {
 
 /**
  * constinit thread-local pointer: the one branch every hot site pays
- * when metrics are off (same pattern -- and same rationale -- as
+ * when host observability is off (same pattern -- and same rationale -- as
  * obs::detail::t_recorder in trace.hh). C++17 inline variables give
  * exactly one instance per process without an ant_obs symbol.
  */
 inline thread_local constinit MetricShard *t_shard = nullptr;
-
-inline std::atomic<bool> g_enabled{false};
 
 /** Shard list plus the registry-global gauges. */
 struct Registry
@@ -218,43 +172,7 @@ raiseTo(std::atomic<std::int64_t> &cell, std::int64_t v)
     }
 }
 
-inline void
-raiseToU(std::atomic<std::uint64_t> &cell, std::uint64_t v)
-{
-    std::uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-inline void
-lowerToU(std::atomic<std::uint64_t> &cell, std::uint64_t v)
-{
-    std::uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (cur > v &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
 } // namespace detail
-
-/** Whether the registry is collecting. */
-inline bool
-enabled()
-{
-    return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-/**
- * Turn collection on or off process-wide. Threads attach lazily via
- * threadAttach; disabling stops new attachments but leaves existing
- * shards in place (their totals remain snapshot-visible).
- */
-inline void
-setEnabled(bool on)
-{
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 /** The calling thread's shard; nullptr when it never attached. */
 inline MetricShard *
@@ -264,15 +182,16 @@ shard()
 }
 
 /**
- * Install a shard for the calling thread (no-op when disabled or
- * already attached). Called at the known thread entry points -- bench
+ * Install a shard for the calling thread (no-op while host
+ * observability is off -- obs::host::enabled() -- or when already
+ * attached). Called at the known thread entry points -- bench
  * parseOptions (main thread), ThreadPool workerLoop / parallelFor --
  * so hot recording sites stay a single pointer branch.
  */
 inline void
 threadAttach()
 {
-    if (!enabled() || detail::t_shard != nullptr)
+    if (!host::enabled() || detail::t_shard != nullptr)
         return;
     detail::Registry &reg = detail::registry();
     const std::lock_guard<std::mutex> lock(reg.mutex);
@@ -328,53 +247,9 @@ gaugeMax(Gauge g, std::int64_t value)
     detail::raiseTo(reg.gaugePeak[i], value);
 }
 
-/** Record one sample into host histogram @p h. */
-inline void
-histRecord(Hist h, std::uint64_t value)
-{
-    if (MetricShard *s = detail::t_shard) {
-        MetricShard::HistCells &cells =
-            s->hists[static_cast<std::size_t>(h)];
-        cells.bins[histBucket(value)].fetch_add(
-            1, std::memory_order_relaxed);
-        cells.count.fetch_add(1, std::memory_order_relaxed);
-        cells.sum.fetch_add(value, std::memory_order_relaxed);
-        detail::lowerToU(cells.min, value);
-        detail::raiseToU(cells.max, value);
-    }
-}
-
-/** Add one profiled stage region (index = report/profiler.hh Stage). */
-inline void
-stageAdd(std::size_t stage_index, std::uint64_t nanos)
-{
-    if (MetricShard *s = detail::t_shard) {
-        if (stage_index < kNumStages) {
-            s->stageNs[stage_index].fetch_add(nanos,
-                                              std::memory_order_relaxed);
-            s->stageCalls[stage_index].fetch_add(
-                1, std::memory_order_relaxed);
-        }
-    }
-}
-
-/**
- * Host wall-clock in nanoseconds (steady, epoch = clock's own).
- * Confined to this whitelisted header so instrumented code never
- * names a clock type itself (antsim-lint no-wall-clock-in-sim).
- */
-inline std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 // ------------------------------------------------------------------
 // Consumer API (metrics.cc, ant_obs): snapshot/merge, name catalog,
-// Prometheus text exposition, reset. Callers link ant_obs.
+// reset. Callers link ant_obs.
 
 /** Order-independent merge of every shard, plus the global gauges. */
 struct Snapshot
@@ -384,42 +259,17 @@ struct Snapshot
         workers{};
     /** Highest worker label with any activity, plus one. */
     std::uint32_t workersUsed = 0;
-    std::array<std::uint64_t, kNumStages> stageNs{};
-    std::array<std::uint64_t, kNumStages> stageCalls{};
     std::array<std::int64_t, kNumGauges> gaugeValue{};
     std::array<std::int64_t, kNumGauges> gaugePeak{};
-    struct HistData
-    {
-        std::array<std::uint64_t, kHistBins> bins{};
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        /** 0 when empty (same convention as obs::Histogram). */
-        std::uint64_t min = 0;
-        std::uint64_t max = 0;
-    };
-    std::array<HistData, kNumHists> hists{};
 };
 
-/** Stable snake_case metric names (exposition / report keys). */
+/** Stable snake_case metric names (report host_metrics keys). */
 const char *counterName(Counter c);
 const char *workerCounterName(WorkerCounter c);
 const char *gaugeName(Gauge g);
-const char *histName(Hist h);
-const char *stageMetricName(std::size_t stage_index);
 
 /** Merge every shard into one Snapshot (sum; order-independent). */
 Snapshot snapshot();
-
-/**
- * Serialize @p snap in the Prometheus text exposition format
- * (# HELP/# TYPE + samples; counters end in _total, histograms emit
- * cumulative _bucket/_sum/_count). Deterministic: fixed catalog
- * order, exact integers only.
- */
-std::string toPrometheus(const Snapshot &snap);
-
-/** Write toPrometheus(snapshot()) to @p path (fatal on I/O error). */
-void writePrometheus(const std::string &path);
 
 /** Zero every cell and gauge; shards stay attached (tests). */
 void reset();

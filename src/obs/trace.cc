@@ -24,7 +24,8 @@ constexpr const char *kSpanNames[kNumSpanKinds] = {
 
 std::atomic<bool> g_enabled{false};
 
-/** Append a JSON-escaped string literal (with quotes) to @p out. */
+} // namespace
+
 void
 appendJsonString(std::string &out, const std::string &s)
 {
@@ -57,6 +58,8 @@ appendJsonString(std::string &out, const std::string &s)
     }
     out += '"';
 }
+
+namespace {
 
 void
 appendU64(std::string &out, std::uint64_t v)

@@ -294,6 +294,13 @@ class ScopedUnitTrace
     UnitRecorder *prev_ = nullptr;
 };
 
+/**
+ * Append @p s to @p out as a JSON string literal (quotes included).
+ * The one escaper both Chrome trace exporters use (TraceSink's and
+ * host_trace.cc's).
+ */
+void appendJsonString(std::string &out, const std::string &s);
+
 } // namespace obs
 } // namespace antsim
 

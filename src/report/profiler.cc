@@ -3,16 +3,9 @@
 #include <array>
 #include <atomic>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace antsim {
-
-// The metrics registry duplicates the stage name table (ant_obs cannot
-// include report headers); keep the counts in lock step so its
-// index-addressed stage cells line up with the Stage enum.
-static_assert(kNumStages == obs::metrics::kNumStages,
-              "obs/metrics.hh kNumStages is out of sync with Stage");
 
 namespace {
 
@@ -51,11 +44,9 @@ namespace profiler {
 void
 record(Stage stage, std::uint64_t nanos)
 {
-    const std::size_t index = stageIndex(stage);
-    StageTotals &totals = g_totals[index];
+    StageTotals &totals = g_totals[stageIndex(stage)];
     totals.nanos.fetch_add(nanos, std::memory_order_relaxed);
     totals.calls.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics::stageAdd(index, nanos);
 }
 
 std::uint64_t

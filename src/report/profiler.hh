@@ -13,16 +13,15 @@
  * simulated work inside it).
  *
  * Stage times are wall-clock sums across workers: with N threads the
- * per-stage totals can exceed the run's elapsed time. They are the
- * only non-deterministic quantity a report carries, which is why they
- * live in their own "profile" section that the golden-JSON tests
- * exclude (see report.hh).
+ * per-stage totals can exceed the run's elapsed time. They are
+ * non-deterministic, which is why they live in their own "profile"
+ * section that the golden-JSON tests exclude (see report.hh). The
+ * clock is obs::host::nowNs(), the one host clock site.
  */
 
 #ifndef ANTSIM_REPORT_PROFILER_HH
 #define ANTSIM_REPORT_PROFILER_HH
 
-#include <chrono>
 #include <cstdint>
 
 #include "obs/host_trace.hh"
@@ -64,32 +63,24 @@ void reset();
 
 } // namespace profiler
 
-/** Times one stage region; records on destruction. */
+/**
+ * Times one stage region; records on destruction. The one stage
+ * accumulator: it feeds the report's profile.stages and, when host
+ * observability is on, the host trace's "stage" spans.
+ */
 class ScopedTimer
 {
   public:
     explicit ScopedTimer(Stage stage)
-        : stage_(stage), start_(std::chrono::steady_clock::now())
+        : stage_(stage), start_(obs::host::nowNs())
     {}
 
     ~ScopedTimer()
     {
-        const auto end = std::chrono::steady_clock::now();
-        const auto nanos = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                                 start_)
-                .count());
-        profiler::record(stage_, nanos);
-        // Mirror the region into the host trace when one is being
-        // collected (steady_clock epoch == obs::host::nowNs epoch).
-        if (obs::host::buf() != nullptr) {
-            const auto end_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    end.time_since_epoch())
-                    .count());
-            obs::host::emitSpan("stage", stageName(stage_),
-                                end_ns - nanos, end_ns);
-        }
+        const std::uint64_t end = obs::host::nowNs();
+        profiler::record(stage_, end - start_);
+        if (obs::host::buf() != nullptr)
+            obs::host::emitSpan("stage", stageName(stage_), start_, end);
     }
 
     ScopedTimer(const ScopedTimer &) = delete;
@@ -97,7 +88,7 @@ class ScopedTimer
 
   private:
     Stage stage_;
-    std::chrono::steady_clock::time_point start_;
+    std::uint64_t start_;
 };
 
 } // namespace antsim

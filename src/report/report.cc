@@ -199,53 +199,17 @@ hostMetricsToJson(const obs::metrics::Snapshot &snap)
     }
     json.set("gauges", std::move(gauges));
 
-    Json stages = Json::array();
-    for (std::size_t i = 0; i < m::kNumStages; ++i) {
-        Json entry = Json::object();
-        entry.set("name", m::stageMetricName(i));
-        entry.set("nanos", snap.stageNs[i]);
-        entry.set("calls", snap.stageCalls[i]);
-        stages.push(std::move(entry));
-    }
-    json.set("stages", std::move(stages));
-
     Json workers = Json::array();
     for (std::size_t w = 0; w < snap.workersUsed; ++w) {
         Json entry = Json::object();
         entry.set("worker", static_cast<std::uint64_t>(w));
-        entry.set("busy_ns",
-                  snap.workers[w][static_cast<std::size_t>(
-                      m::WorkerCounter::BusyNs)]);
-        entry.set("idle_ns",
-                  snap.workers[w][static_cast<std::size_t>(
-                      m::WorkerCounter::IdleNs)]);
-        entry.set("chunks",
-                  snap.workers[w][static_cast<std::size_t>(
-                      m::WorkerCounter::Chunks)]);
-        entry.set("items",
-                  snap.workers[w][static_cast<std::size_t>(
-                      m::WorkerCounter::Items)]);
+        for (std::size_t c = 0; c < m::kNumWorkerCounters; ++c) {
+            entry.set(m::workerCounterName(static_cast<m::WorkerCounter>(c)),
+                      snap.workers[w][c]);
+        }
         workers.push(std::move(entry));
     }
     json.set("workers", std::move(workers));
-
-    Json hists = Json::array();
-    for (std::size_t i = 0; i < m::kNumHists; ++i) {
-        const auto hist = static_cast<m::Hist>(i);
-        const auto &data = snap.hists[i];
-        Json entry = Json::object();
-        entry.set("name", m::histName(hist));
-        Json bins = Json::array();
-        for (std::uint64_t b : data.bins)
-            bins.push(b);
-        entry.set("bins", std::move(bins));
-        entry.set("count", data.count);
-        entry.set("sum", data.sum);
-        entry.set("min", data.min);
-        entry.set("max", data.max);
-        hists.push(std::move(entry));
-    }
-    json.set("histograms", std::move(hists));
     return json;
 }
 

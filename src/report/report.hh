@@ -22,7 +22,9 @@
  * deterministic parallel engine, DESIGN.md). Wall-clock stage timings
  * from the profiler (profiler.hh) are the one exception, so they are
  * confined to a "profile" section that toJson can exclude -- the
- * golden-JSON regression tests serialize without it.
+ * golden-JSON regression tests serialize without it. The other
+ * wall-clock section, host_metrics (obs/metrics.hh), appears only in
+ * runs with host observability on (--host-trace-out).
  */
 
 #ifndef ANTSIM_REPORT_REPORT_HH
@@ -128,11 +130,12 @@ Json histogramsToJson(const obs::HistogramRegistry &hists);
 
 /**
  * Serialize a host-metrics snapshot (obs/metrics.hh) as the report's
- * host_metrics section: counters, gauges with peaks, per-stage wall
- * nanoseconds, per-worker pool accounting, and log2 histograms. Everything here is host-side
- * wall-clock accounting -- like the profile section it is never
+ * host_metrics section: counters, gauges with peaks, and per-worker
+ * pool accounting. Stage wall time is the profile section's, and unit
+ * wall time is in the host trace's unit spans. Everything here is
+ * host-side accounting -- like the profile section it is never
  * byte-stable across runs, which is why RunReport only embeds it when
- * metrics collection was explicitly enabled.
+ * host observability (--host-trace-out) was explicitly enabled.
  */
 Json hostMetricsToJson(const obs::metrics::Snapshot &snap);
 
@@ -180,9 +183,10 @@ class RunReport
 
     /**
      * Attach the host-metrics snapshot (metered runs only -- benches
-     * call this from finish() when --metrics-out enabled collection).
-     * Omitted when never set, so metrics-off reports are byte-identical
-     * to reports from builds that never heard of metrics.
+     * call this from finish() when --host-trace-out enabled host
+     * observability). Omitted when never set, so reports with host
+     * observability off are byte-identical to reports from builds
+     * that never heard of metrics.
      */
     void setHostMetrics(const obs::metrics::Snapshot &snap);
 

@@ -46,6 +46,20 @@ class WorkerScope
     std::uint32_t prev_id_;
 };
 
+/** Per-worker accounting of one executed block (metered runs only). */
+void
+recordBlock(std::uint32_t worker_id, std::uint64_t busy_start,
+            std::uint64_t items)
+{
+    obs::metrics::workerCount(worker_id,
+                              obs::metrics::WorkerCounter::BusyNs,
+                              obs::host::nowNs() - busy_start);
+    obs::metrics::workerCount(worker_id,
+                              obs::metrics::WorkerCounter::Chunks, 1);
+    obs::metrics::workerCount(worker_id,
+                              obs::metrics::WorkerCounter::Items, items);
+}
+
 } // namespace
 
 std::uint32_t
@@ -92,7 +106,7 @@ ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
             break;
         const std::uint64_t stop = std::min(start + job.grain, job.end);
         const std::uint64_t busy_start =
-            metered != nullptr ? obs::metrics::nowNs() : 0;
+            metered != nullptr ? obs::host::nowNs() : 0;
         // Once a worker failed, later blocks are claimed and retired
         // without running so `completed` still reaches `total` and the
         // caller wakes up to rethrow.
@@ -109,16 +123,8 @@ ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
                 job.failed.store(true, std::memory_order_release);
             }
         }
-        if (metered != nullptr) {
-            obs::metrics::workerCount(
-                worker_id, obs::metrics::WorkerCounter::BusyNs,
-                obs::metrics::nowNs() - busy_start);
-            obs::metrics::workerCount(
-                worker_id, obs::metrics::WorkerCounter::Chunks, 1);
-            obs::metrics::workerCount(
-                worker_id, obs::metrics::WorkerCounter::Items,
-                stop - start);
-        }
+        if (metered != nullptr)
+            recordBlock(worker_id, busy_start, stop - start);
         const std::uint64_t done =
             job.completed.fetch_add(stop - start,
                                     std::memory_order_acq_rel) +
@@ -145,7 +151,7 @@ ThreadPool::workerLoop(std::uint32_t worker_id)
         {
             std::unique_lock<std::mutex> lock(mutex_);
             const std::uint64_t idle_start =
-                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
+                obs::metrics::shard() != nullptr ? obs::host::nowNs()
                                                  : 0;
             wake_.wait(lock, [&] {
                 return shutdown_ || generation_ != seen_generation;
@@ -153,7 +159,7 @@ ThreadPool::workerLoop(std::uint32_t worker_id)
             if (obs::metrics::shard() != nullptr) {
                 obs::metrics::workerCount(
                     worker_id, obs::metrics::WorkerCounter::IdleNs,
-                    obs::metrics::nowNs() - idle_start);
+                    obs::host::nowNs() - idle_start);
             }
             if (shutdown_)
                 return;
@@ -193,12 +199,11 @@ ThreadPool::parallelFor(std::uint64_t begin, std::uint64_t end,
     // outer job). The caller attaches here so single-threaded pools
     // and test harnesses record without a bench entry point.
     obs::metrics::threadAttach();
-    if (obs::metrics::shard() != nullptr) {
+    const bool metered = obs::metrics::shard() != nullptr;
+    if (metered) {
         obs::metrics::count(obs::metrics::Counter::PoolParallelFors);
         obs::metrics::count(obs::metrics::Counter::PoolItems,
                             end - begin);
-        obs::metrics::histRecord(obs::metrics::Hist::PoolJobItems,
-                                 end - begin);
         obs::metrics::gaugeMax(
             obs::metrics::Gauge::PoolMaxJobItems,
             static_cast<std::int64_t>(end - begin));
@@ -207,9 +212,13 @@ ThreadPool::parallelFor(std::uint64_t begin, std::uint64_t end,
     }
 
     if (thread_count_ == 1) {
+        // The whole job is one block on worker 0.
         const WorkerScope scope(this, 0);
+        const std::uint64_t busy_start = metered ? obs::host::nowNs() : 0;
         for (std::uint64_t i = begin; i < end; ++i)
             fn(i, 0);
+        if (metered)
+            recordBlock(0, busy_start, end - begin);
         return;
     }
 

@@ -296,18 +296,10 @@ runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
                 host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
                         std::to_string(i) + "}"
                         : std::string());
-            const std::uint64_t unit_start =
-                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
-                                                 : 0;
             unit_counters[i] =
                 runConvUnit(worker_pes[worker], layer, profile, config,
                             unit);
-            if (obs::metrics::shard() != nullptr) {
-                obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-                obs::metrics::histRecord(
-                    obs::metrics::Hist::UnitWallNs,
-                    obs::metrics::nowNs() - unit_start);
-            }
+            obs::metrics::count(obs::metrics::Counter::RunnerUnits);
             const std::uint64_t done =
                 units_done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (logLevel() >= LogLevel::Info &&
@@ -389,9 +381,6 @@ runMatmulNetwork(PeModel &pe, const std::vector<MatmulLayer> &layers,
                 host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
                         std::to_string(li) + "}"
                         : std::string());
-            const std::uint64_t unit_start =
-                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
-                                                 : 0;
             Rng rng(mixSeed(config.seed, li, 0, 0));
             const PlanePair pair = [&] {
                 const ScopedTimer timer(Stage::TraceGen);
@@ -399,12 +388,7 @@ runMatmulNetwork(PeModel &pe, const std::vector<MatmulLayer> &layers,
             }();
             layer_counters[li] = runPlanePair(worker_pes[worker], pair,
                                               config.chunkCapacity);
-            if (obs::metrics::shard() != nullptr) {
-                obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-                obs::metrics::histRecord(
-                    obs::metrics::Hist::UnitWallNs,
-                    obs::metrics::nowNs() - unit_start);
-            }
+            obs::metrics::count(obs::metrics::Counter::RunnerUnits);
             const std::uint64_t done =
                 layers_done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (logLevel() >= LogLevel::Info &&

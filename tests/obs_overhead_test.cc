@@ -9,12 +9,14 @@
  * branch) and that reports omit the histograms section unless tracing
  * supplied one.
  *
- * The same observe-don't-perturb law covers the host-side metrics
- * registry and host tracer (src/obs/metrics.hh, host_trace.hh): with
- * both off no thread-local shard or buffer is ever installed, and
- * turning both on leaves NetworkStats, the deterministic report JSON,
- * and the simulated-time trace bytes identical -- host observability
- * reads wall-clock but never writes simulation state.
+ * The same observe-don't-perturb law covers host observability -- the
+ * host tracer and the metrics registry (src/obs/host_trace.hh,
+ * metrics.hh), which share one switch: with it off no thread-local
+ * shard or buffer is ever installed, and turning it on leaves
+ * NetworkStats, the deterministic report JSON, and the simulated-time
+ * trace bytes identical -- host observability reads wall-clock but
+ * never writes simulation state. Stage time has one source: the host
+ * trace's stage spans are exactly the profiler's timed regions.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +30,11 @@
 #include "obs/host_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "report/json.hh"
+#include "report/profiler.hh"
 #include "report/report.hh"
 #include "scnn/scnn_pe.hh"
+#include "workload/networks.hh"
 #include "workload/runner.hh"
 
 namespace antsim {
@@ -168,11 +173,10 @@ reportBytes(const NetworkStats &stats)
 }
 
 // Declaration order matters: this test must run before anything in
-// this binary enables metrics or host tracing, so it can observe that
+// this binary enables host observability, so it can observe that
 // plain runs never install the thread-local shard or span buffer.
 TEST(ObsOverhead, MetricsOffInstallsNothing)
 {
-    EXPECT_FALSE(obs::metrics::enabled());
     EXPECT_FALSE(obs::host::enabled());
     RunConfig config;
     config.sampleCap = 1;
@@ -200,18 +204,16 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     const std::string plain_trace = obs::globalSink().toChromeJson(64);
     obs::globalSink().clear();
 
-    // Metered: identical configuration with the host metrics registry
-    // and the host span tracer both collecting.
-    obs::metrics::setEnabled(true);
-    obs::metrics::threadAttach();
+    // Metered: identical configuration with host observability on, so
+    // the host span tracer and the metrics registry both collect.
     obs::host::setEnabled(true);
     obs::host::threadAttach("main");
+    obs::metrics::threadAttach();
     const auto metered = runConvNetwork(
         pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
     const std::string metered_trace = obs::globalSink().toChromeJson(64);
     obs::globalSink().clear();
     obs::setEnabled(false);
-    obs::metrics::setEnabled(false);
     obs::host::setEnabled(false);
 
     // Host observability recorded something...
@@ -225,6 +227,62 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     EXPECT_EQ(plain_trace, metered_trace);
     obs::metrics::reset();
     obs::host::clear();
+}
+
+TEST(ObsOverhead, HostStageSpansMatchProfilerAndReportHasNoCopies)
+{
+    RunConfig config;
+    config.sampleCap = 1;
+    config.numThreads = 2;
+    config.runLabel = "ResNet18/ant";
+
+    profiler::reset();
+    obs::host::clear();
+    obs::metrics::reset();
+    obs::host::setEnabled(true);
+    obs::host::threadAttach("main");
+    obs::metrics::threadAttach();
+    AntPe pe;
+    runConvNetwork(pe, resnet18Cifar(), SparsityProfile::swat(0.9),
+                   config);
+    obs::host::setEnabled(false);
+
+    // Every ScopedTimer region is one host "stage" span named after its
+    // stage -- the profiler and the host trace are one timer.
+    std::string error;
+    const Json trace = Json::parse(obs::host::toChromeJson(), &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const Json &events = trace.at("traceEvents");
+    for (std::size_t si = 0; si < kNumStages; ++si) {
+        const auto stage = static_cast<Stage>(si);
+        std::uint64_t spans = 0;
+        for (std::size_t e = 0; e < events.size(); ++e) {
+            const Json *cat = events.at(e).find("cat");
+            if (cat != nullptr && cat->asString() == "stage" &&
+                events.at(e).at("name").asString() == stageName(stage)) {
+                ++spans;
+            }
+        }
+        EXPECT_GT(profiler::callCount(stage), 0u) << stageName(stage);
+        EXPECT_EQ(spans, profiler::callCount(stage)) << stageName(stage);
+    }
+
+    // host_metrics carries only what no other section has: no stage
+    // totals (profile.stages) and no unit-time histogram (unit spans).
+    RunReport report;
+    report.setHostMetrics(obs::metrics::snapshot());
+    const Json doc = report.toJson(false);
+    const Json &host_metrics = doc.at("host_metrics");
+    EXPECT_NE(host_metrics.find("counters"), nullptr);
+    EXPECT_NE(host_metrics.find("gauges"), nullptr);
+    EXPECT_NE(host_metrics.find("workers"), nullptr);
+    EXPECT_EQ(host_metrics.find("stages"), nullptr);
+    EXPECT_EQ(host_metrics.find("histograms"), nullptr);
+    EXPECT_GT(host_metrics.at("counters").at("runner_units").asUint(), 0u);
+
+    profiler::reset();
+    obs::host::clear();
+    obs::metrics::reset();
 }
 
 TEST(ObsOverhead, ReportOmitsHostMetricsUnlessProvided)
