@@ -3,8 +3,7 @@
  * Google-benchmark microbenchmarks of the census engine: brute-force
  * countProducts vs CensusContext, single-kernel and stack-amortized
  * (the SCNN counting path runs one context against every kernel of a
- * stack), plus the fused CSR plane generator vs the legacy dense
- * pipeline it replaces.
+ * stack). The plane generator has its own bench/micro_tracegen.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,10 +14,8 @@
 #include "conv/outer_product.hh"
 #include "tensor/csr.hh"
 #include "tensor/sparsify.hh"
-#include "util/bfloat16.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
-#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace {
@@ -94,40 +91,6 @@ BM_CensusContextBuild(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * image.nnz());
 }
 BENCHMARK(BM_CensusContextBuild)->Arg(16)->Arg(32)->Arg(56);
-
-void
-BM_LegacyPlanePipeline(benchmark::State &state)
-{
-    const auto dim = static_cast<std::uint32_t>(state.range(0));
-    for (auto _ : state) {
-        Rng rng(42);
-        Dense2d<float> plane =
-            generatePlane(dim, dim, 0.9, SparsifyMethod::TopK, rng);
-        auto csr = CsrMatrix::fromDense(
-            embedPlane(plane, dim + 2, dim + 2, 1));
-        benchmark::DoNotOptimize(csr);
-    }
-    state.SetItemsProcessed(state.iterations() * dim * dim);
-}
-BENCHMARK(BM_LegacyPlanePipeline)->Arg(32)->Arg(128);
-
-void
-BM_FusedPlaneGenerator(benchmark::State &state)
-{
-    const auto dim = static_cast<std::uint32_t>(state.range(0));
-    PlaneRecipe recipe =
-        PlaneRecipe::plain(dim, dim, 0.9, SparsifyMethod::TopK);
-    recipe.outHeight = dim + 2;
-    recipe.outWidth = dim + 2;
-    recipe.offset = 1;
-    for (auto _ : state) {
-        Rng rng(42);
-        auto csr = generateCsrPlane(recipe, rng);
-        benchmark::DoNotOptimize(csr);
-    }
-    state.SetItemsProcessed(state.iterations() * dim * dim);
-}
-BENCHMARK(BM_FusedPlaneGenerator)->Arg(32)->Arg(128);
 
 } // namespace
 

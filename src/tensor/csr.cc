@@ -196,18 +196,23 @@ CsrMatrix::maybeValidate() const
 }
 
 CsrMatrix::CsrMatrix(std::uint32_t height, std::uint32_t width)
+    : CsrMatrix(height, width, 0)
+{}
+
+CsrMatrix::CsrMatrix(std::uint32_t height, std::uint32_t width,
+                     std::size_t nnz)
     : height_(height), width_(width)
 {
-    allocateStorage(0);
+    allocateStorage(nnz);
 }
 
 CsrMatrix
 CsrMatrix::fromDense(const Dense2d<float> &dense)
 {
-    CsrMatrix csr(dense.height(), dense.width());
     const float *data = dense.data().data();
     const std::size_t cells = dense.data().size();
-    csr.allocateStorage(countNonzeros(data, cells));
+    CsrMatrix csr(dense.height(), dense.width(),
+                  countNonzeros(data, cells));
 
     float *values = csr.valuesData();
     std::uint32_t *columns = csr.columnsData();
@@ -235,18 +240,17 @@ CsrMatrix::fromRaw(std::uint32_t height, std::uint32_t width,
                "rowPtr size ", row_ptr.size(), " != height+1 ", height + 1);
     ANT_ASSERT(values.size() == columns.size(),
                "values/columns size mismatch");
-    CsrMatrix csr(height, width);
-    csr.allocateStorage(values.size());
-    if (!values.empty()) {
-        std::memcpy(csr.valuesData(), values.data(),
-                    values.size() * sizeof(float));
-        std::memcpy(csr.columnsData(), columns.data(),
-                    columns.size() * sizeof(std::uint32_t));
-    }
-    std::memcpy(csr.rowPtrData(), row_ptr.data(),
-                row_ptr.size() * sizeof(std::uint32_t));
-    csr.validate();
-    return csr;
+    return fromFill(
+        height, width, values.size(),
+        [&](float *v, std::uint32_t *c, std::uint32_t *r) {
+            if (!values.empty()) {
+                std::memcpy(v, values.data(), values.size() * sizeof(float));
+                std::memcpy(c, columns.data(),
+                            columns.size() * sizeof(std::uint32_t));
+            }
+            std::memcpy(r, row_ptr.data(),
+                        row_ptr.size() * sizeof(std::uint32_t));
+        });
 }
 
 CsrMatrix
@@ -272,8 +276,7 @@ CsrMatrix::fromCoo(std::uint32_t height, std::uint32_t width,
         }
     }
 
-    CsrMatrix csr(height, width);
-    csr.allocateStorage(unique);
+    CsrMatrix csr(height, width, unique);
     float *values = csr.valuesData();
     std::uint32_t *columns = csr.columnsData();
     std::uint32_t *row_ptr = csr.rowPtrData();
@@ -356,8 +359,7 @@ CsrMatrix::rotated180() const
 {
     // Algorithm 3: remap indices only; the Values array contents do not
     // change (their order does, to restore row-major ordering).
-    CsrMatrix out(height_, width_);
-    out.allocateStorage(nnz());
+    CsrMatrix out(height_, width_, nnz());
     const auto row_ptr = rowPtr();
     const auto cols = columns();
     const auto vals = values();
@@ -385,8 +387,7 @@ CsrMatrix::rotated180() const
 CsrMatrix
 CsrMatrix::transposed() const
 {
-    CsrMatrix out(width_, height_);
-    out.allocateStorage(nnz());
+    CsrMatrix out(width_, height_, nnz());
     const auto row_ptr = rowPtr();
     const auto cols = columns();
     const auto vals = values();

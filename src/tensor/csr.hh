@@ -54,7 +54,8 @@ std::uint32_t narrowNnz(std::size_t nnz);
  * Compressed Sparse Row matrix of float values.
  *
  * Invariants (checked by validate(); every construction path validates
- * when the ANTSIM_AUDIT runtime switch is on, fromRaw unconditionally):
+ * when the ANTSIM_AUDIT runtime switch is on, fromRaw and fromFill
+ * unconditionally):
  *  - rowPtr has height()+1 entries, rowPtr[0] == 0, non-decreasing;
  *  - columns within each row are strictly increasing and < width();
  *  - values.size() == columns.size() == rowPtr.back().
@@ -69,13 +70,31 @@ class CsrMatrix
     static CsrMatrix fromDense(const Dense2d<float> &dense);
 
     /**
-     * Build directly from raw arrays.
+     * Build directly from raw arrays (a copying fromFill).
      * Panics if the arrays violate the CSR invariants.
      */
     static CsrMatrix fromRaw(std::uint32_t height, std::uint32_t width,
                              std::vector<float> values,
                              std::vector<std::uint32_t> columns,
                              std::vector<std::uint32_t> row_ptr);
+
+    /**
+     * Build in place from exactly @p nnz entries: allocate the storage
+     * once, then fill(values, columns, row_ptr) must write all @p nnz
+     * values and columns and the row pointers (height()+1 entries,
+     * arriving zeroed). Panics if the result violates the CSR
+     * invariants.
+     */
+    template <typename Fill>
+    static CsrMatrix
+    fromFill(std::uint32_t height, std::uint32_t width, std::size_t nnz,
+             Fill &&fill)
+    {
+        CsrMatrix csr(height, width, nnz);
+        fill(csr.valuesData(), csr.columnsData(), csr.rowPtrData());
+        csr.validate();
+        return csr;
+    }
 
     /**
      * Build from an unsorted coordinate list (duplicates are summed,
@@ -148,6 +167,9 @@ class CsrMatrix
     bool operator==(const CsrMatrix &o) const;
 
   private:
+    /** An all-zero matrix with storage for exactly @p nnz entries. */
+    CsrMatrix(std::uint32_t height, std::uint32_t width, std::size_t nnz);
+
     /**
      * Size the arena for exactly @p nnz stored entries (guarding the
      * uint32 narrowing) plus the row-pointer array, and carve the

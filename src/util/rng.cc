@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,29 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -86,15 +57,9 @@ Rng::bernoulli(double p)
 }
 
 double
-Rng::normal()
+Rng::boxMuller(const BoxMullerDraw &draw)
 {
-    // Box-Muller; draw until the radius is non-zero so log() is finite.
-    double u1 = uniform();
-    while (u1 <= 0.0)
-        u1 = uniform();
-    const double u2 = uniform();
-    const double two_pi = 6.283185307179586476925286766559;
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(two_pi * u2);
+    return std::sqrt(-2.0 * std::log(draw.u1)) * std::cos(kTwoPi * draw.u2);
 }
 
 std::vector<std::uint32_t>

@@ -30,10 +30,29 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits give a uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using rejection sampling. */
     std::uint64_t below(std::uint64_t bound);
@@ -44,8 +63,34 @@ class Rng
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
 
+    /** The two uniforms one normal() consumes, in draw order. */
+    struct BoxMullerDraw
+    {
+        /** Radius uniform in [2^-53, 1): redrawn while it is 0. */
+        double u1;
+        /** Angle uniform in [0, 1). */
+        double u2;
+    };
+
+    /** Draw the uniforms of one normal() (the same stream it uses). */
+    BoxMullerDraw
+    boxMullerDraw()
+    {
+        // Draw until the radius is non-zero so log() is finite.
+        double u1 = uniform();
+        while (u1 <= 0.0)
+            u1 = uniform();
+        return {u1, uniform()};
+    }
+
+    /** 2 pi as the Box-Muller angle uses it. */
+    static constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+    /** The Box-Muller transform: sqrt(-2 ln u1) * cos(kTwoPi * u2). */
+    static double boxMuller(const BoxMullerDraw &draw);
+
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
-    double normal();
+    double normal() { return boxMuller(boxMullerDraw()); }
 
     /**
      * Deterministic Fisher-Yates shuffle of an index vector.
@@ -70,6 +115,12 @@ class Rng
     std::array<std::uint64_t, 4> state() const;
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

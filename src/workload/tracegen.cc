@@ -4,10 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <vector>
 
-#include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
+#include "util/box_muller_bound.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -101,32 +102,179 @@ countGreater(const float *data, std::size_t n, float threshold)
 std::atomic<std::uint64_t> g_generated{0};
 
 /**
- * Emit one surviving inner-plane value into the CSR arrays under
- * construction. Quantizes to bf16 exactly where the legacy pipeline
- * does (after sparsification, before compression) and drops values the
- * rounding flushed to zero, as fromDense would.
+ * Per-thread scratch of the plane under construction. `values` holds
+ * the plane's cells in row-major order, a 0 marking one that is not
+ * kept (a drawn value is never 0). `positions` gives each value's
+ * inner row-major cell when only some cells were stored -- top-K
+ * candidates, Bernoulli survivors -- and is empty when values[i] is
+ * cell i. So the scratch grows with the candidates, never with the
+ * cells the top-K filter skips, and an unfiltered plane costs 4 bytes
+ * a cell as the dense plane did. Benchmarks generate hundreds of
+ * thousands of planes, so it persists across them.
  */
-inline void
-emitValue(float value, std::uint32_t x, std::uint32_t y,
-          const PlaneRecipe &recipe, std::vector<float> &values,
-          std::vector<std::uint32_t> &columns,
-          std::vector<std::uint32_t> &row_counts)
+struct PlaneScratch
 {
-    const float quantized = bf16Round(value);
-    if (quantized == 0.0f)
-        return;
-    values.push_back(quantized);
-    columns.push_back(recipe.offset + recipe.dilation * x);
-    ++row_counts[recipe.offset + recipe.dilation * y];
+    std::vector<float> values;
+    std::vector<std::uint32_t> positions;
+    /** Top-K magnitudes, partitioned by nth_element. */
+    std::vector<float> mags;
+};
+
+/**
+ * A plane cell's value from its normal draw: the Box-Muller transform
+ * in float, with 1e-6 standing in for an exact 0 so that every drawn
+ * cell stays a non-zero.
+ */
+float
+cellValue(const Rng::BoxMullerDraw &draw)
+{
+    const auto f = static_cast<float>(Rng::boxMuller(draw));
+    return f == 0.0f ? 1e-6f : f;
+}
+
+/**
+ * Above this share of candidate cells the top-K filter saves too
+ * little trig to pay for its table reads. It also keeps the cutoff
+ * above 0.3, far over the 1e-6 that replaces a zero draw.
+ */
+constexpr double kMaxFilteredShare = 0.75;
+
+/**
+ * Top-K: one plane's cells into @p scratch, unquantized, with the cells
+ * not kept zeroed. Same draws as randomDensePlane (one normal per cell)
+ * and the same kept set as topKSparsify: the first `keep` cells under
+ * (magnitude desc, position asc), i.e. every cell whose magnitude beats
+ * the keep-th largest plus the earliest ties at it.
+ *
+ * Filter, then exact (docs/MODEL.md Sec. 10): each cell's two uniforms
+ * are drawn as Rng::normal draws them, but the transform runs only if
+ * BoxMullerBound says the magnitude may exceed the cutoff B, and only
+ * those candidates are stored. If at least `keep` of them beat B, the
+ * keep-th largest magnitude is above B while every skipped cell is at
+ * most B, so the selection over the candidates alone is the selection
+ * over all cells. Otherwise the Rng is rewound and the same loop
+ * reruns unfiltered.
+ */
+void
+topKCells(const PlaneRecipe &recipe, Rng &rng, PlaneScratch &scratch)
+{
+    const std::size_t total =
+        static_cast<std::size_t>(recipe.height) * recipe.width;
+    const auto keep = static_cast<std::size_t>(std::llround(
+        static_cast<double>(total) * (1.0 - recipe.sparsity)));
+    const float cutoff = topKFilterCutoff(total, keep);
+    bool filtered = cutoff > 0.0f;
+    const BoxMullerBound *bound =
+        filtered ? &BoxMullerBound::get() : nullptr;
+    const Rng start = rng;
+    auto &values = scratch.values;
+    auto &positions = scratch.positions;
+    for (;;) {
+        values.clear();
+        positions.clear();
+        if (!filtered)
+            values.reserve(total);
+        std::size_t beyond = 0;
+        for (std::uint32_t pos = 0; pos < total; ++pos) {
+            const Rng::BoxMullerDraw draw = rng.boxMullerDraw();
+            if (filtered && bound->magnitudeMax(draw) <= cutoff)
+                continue;
+            const float f = cellValue(draw);
+            values.push_back(f);
+            if (filtered) {
+                positions.push_back(pos);
+                beyond += std::fabs(f) > cutoff ? 1 : 0;
+            }
+        }
+        if (!filtered || beyond >= keep)
+            break;
+        rng = start;
+        filtered = false;
+    }
+
+    // A scalar magnitude nth_element plus a tie budget reproduces
+    // topKSparsify's index-vector selection bit for bit.
+    const std::size_t n = values.size();
+    float threshold = 0.0f;
+    std::size_t tie_budget = n;
+    if (keep > 0 && keep < n) {
+        auto &mags = scratch.mags;
+        mags.resize(n);
+        absArray(values.data(), mags.data(), n);
+        std::nth_element(mags.begin(),
+                         mags.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                         mags.end(), std::greater<float>());
+        threshold = mags[keep - 1];
+        // The partition puts every magnitude above the threshold into
+        // the first `keep` slots, so counting strict winners only needs
+        // that prefix.
+        tie_budget = keep - countGreater(mags.data(), keep, threshold);
+    }
+    for (float &v : values) {
+        const float mag = std::fabs(v);
+        if (keep > 0 && mag > threshold)
+            continue;
+        if (keep > 0 && mag == threshold && tie_budget > 0) {
+            --tie_budget;
+            continue;
+        }
+        v = 0.0f;
+    }
+}
+
+/**
+ * Bernoulli: one plane's surviving cells and their positions into
+ * @p scratch, unquantized. Same draw sequence as bernoulliPlane: one
+ * Bernoulli trial per cell in row-major order, one normal per
+ * surviving cell.
+ */
+void
+bernoulliCells(const PlaneRecipe &recipe, Rng &rng, PlaneScratch &scratch)
+{
+    const std::uint32_t total = recipe.height * recipe.width;
+    const double keep_p = 1.0 - recipe.sparsity;
+    scratch.values.clear();
+    scratch.positions.clear();
+    for (std::uint32_t pos = 0; pos < total; ++pos) {
+        if (!rng.bernoulli(keep_p))
+            continue;
+        scratch.values.push_back(cellValue(rng.boxMullerDraw()));
+        scratch.positions.push_back(pos);
+    }
 }
 
 } // namespace
+
+float
+topKFilterCutoff(std::size_t total, std::size_t keep)
+{
+    if (keep == 0)
+        return std::numeric_limits<float>::infinity();
+    // The expected count of cells beating B is total * share = m with
+    // m - z * sqrt(m) = keep, z = 3.
+    const double z = 3.0;
+    const double root =
+        (z + std::sqrt(z * z + 4.0 * static_cast<double>(keep))) / 2.0;
+    const double share = root * root / static_cast<double>(total);
+    if (share > kMaxFilteredShare)
+        return 0.0f;
+    // Upper-tail normal quantile at share / 2 (Abramowitz & Stegun
+    // 26.2.23, |error| < 4.5e-4).
+    const double t = std::sqrt(-2.0 * std::log(share / 2.0));
+    return static_cast<float>(
+        t - (2.515517 + t * (0.802853 + t * 0.010328)) /
+            (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))));
+}
 
 CsrMatrix
 generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
 {
     ANT_ASSERT(recipe.height > 0 && recipe.width > 0,
                "plane recipe needs positive inner dims");
+    ANT_ASSERT(static_cast<std::uint64_t>(recipe.height) * recipe.width <=
+                   std::numeric_limits<std::uint32_t>::max(),
+               "plane of ", recipe.height, "x", recipe.width,
+               " cells overflows uint32 positions");
     ANT_ASSERT(recipe.dilation >= 1, "dilation must be at least 1");
     ANT_ASSERT(recipe.offset +
                        recipe.dilation * (recipe.height - 1) <
@@ -140,101 +288,56 @@ generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
 
     g_generated.fetch_add(1, std::memory_order_relaxed);
 
-    std::vector<float> values;
-    std::vector<std::uint32_t> columns;
-    // Count entries per embedded row, prefix-summed into rowPtr below.
-    // Thread-local scratch: benchmarks generate hundreds of thousands
-    // of planes per run and the per-plane malloc shows up.
-    static thread_local std::vector<std::uint32_t> row_counts;
-    row_counts.assign(recipe.outHeight + 1, 0);
+    static thread_local PlaneScratch scratch;
+    if (recipe.method == SparsifyMethod::Bernoulli)
+        bernoulliCells(recipe, rng, scratch);
+    else
+        topKCells(recipe, rng, scratch);
 
-    if (recipe.method == SparsifyMethod::Bernoulli) {
-        // Same draw sequence as bernoulliPlane: one Bernoulli trial per
-        // cell in row-major order, one normal per surviving cell.
-        const double keep_p = 1.0 - recipe.sparsity;
-        const std::size_t expected = static_cast<std::size_t>(
-            static_cast<double>(recipe.height) * recipe.width * keep_p);
-        values.reserve(expected);
-        columns.reserve(expected);
-        for (std::uint32_t y = 0; y < recipe.height; ++y) {
-            for (std::uint32_t x = 0; x < recipe.width; ++x) {
-                if (!rng.bernoulli(keep_p))
-                    continue;
-                float f = static_cast<float>(rng.normal());
-                if (f == 0.0f)
-                    f = 1e-6f;
-                emitValue(f, x, y, recipe, values, columns, row_counts);
-            }
-        }
-    } else {
-        // Same draw sequence as randomDensePlane: one normal per cell,
-        // then the topKSparsify selection. The kept set is the first
-        // `keep` cells under (magnitude desc, position asc) -- i.e.,
-        // every cell whose magnitude beats the keep-th largest, plus
-        // the earliest-position ties at exactly that threshold -- so a
-        // scalar magnitude nth_element plus a tie budget reproduces the
-        // legacy index-vector selection bit for bit at a fraction of
-        // the memory traffic. Scratch buffers persist per thread: a
-        // benchmark generates hundreds of thousands of planes.
-        const std::size_t total =
-            static_cast<std::size_t>(recipe.height) * recipe.width;
-        static thread_local std::vector<float> data;
-        static thread_local std::vector<float> mags;
-        data.resize(total);
-        for (auto &v : data) {
-            float f = static_cast<float>(rng.normal());
-            if (f == 0.0f)
-                f = 1e-6f;
-            v = f;
-        }
-        const auto keep = static_cast<std::size_t>(std::llround(
-            static_cast<double>(total) * (1.0 - recipe.sparsity)));
-        float threshold = 0.0f;
-        std::size_t tie_budget = total;
-        if (keep < total && keep > 0) {
-            mags.resize(total);
-            absArray(data.data(), mags.data(), total);
-            std::nth_element(mags.begin(),
-                             mags.begin() +
-                                 static_cast<std::ptrdiff_t>(keep - 1),
-                             mags.end(), std::greater<float>());
-            threshold = mags[keep - 1];
-            // The partition puts every magnitude above the threshold
-            // into the first `keep` slots, so counting strict winners
-            // only needs that prefix.
-            const std::size_t above =
-                countGreater(mags.data(), keep, threshold);
-            tie_budget = keep - above;
-        }
-        values.reserve(keep);
-        columns.reserve(keep);
-        std::size_t idx = 0;
-        for (std::uint32_t y = 0; y < recipe.height && keep > 0; ++y) {
-            for (std::uint32_t x = 0; x < recipe.width; ++x, ++idx) {
-                const float mag = std::fabs(data[idx]);
-                if (mag < threshold)
-                    continue;
-                if (mag == threshold) {
-                    if (tie_budget == 0)
-                        continue;
-                    --tie_budget;
-                }
-                emitValue(data[idx], x, y, recipe, values, columns,
-                          row_counts);
-            }
-        }
+    // Quantize to bf16 after sparsification, before compression; a
+    // value the rounding flushed to zero is dropped, as fromDense would.
+    std::size_t nnz = 0;
+    for (float &v : scratch.values) {
+        v = bf16Round(v);
+        nnz += v != 0.0f ? 1 : 0;
     }
 
-    // row_counts -> rowPtr (exclusive prefix): shift then accumulate.
-    std::vector<std::uint32_t> row_ptr(recipe.outHeight + 1, 0);
-    for (std::uint32_t y = 0; y < recipe.outHeight; ++y)
-        row_ptr[y + 1] = row_ptr[y] + row_counts[y];
-
-    CsrMatrix plane =
-        CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth,
-                           std::move(values), std::move(columns),
-                           std::move(row_ptr));
-    return recipe.rotate ? plane.rotated180() : plane;
+    // Write the embedded plane straight into its one arena slab. A
+    // 180-degree rotation reverses the whole row-major entry order and
+    // maps (x, y) to (W-1-x, H-1-y), so rotated planes fill from the
+    // back.
+    return CsrMatrix::fromFill(
+        recipe.outHeight, recipe.outWidth, nnz,
+        [&](float *values, std::uint32_t *columns, std::uint32_t *row_ptr) {
+            const bool dense = scratch.positions.empty();
+            std::uint32_t y = 0;
+            std::uint32_t row_start = 0;
+            std::size_t written = 0;
+            for (std::size_t i = 0; i < scratch.values.size(); ++i) {
+                if (scratch.values[i] == 0.0f)
+                    continue;
+                const auto pos = dense ? static_cast<std::uint32_t>(i)
+                                       : scratch.positions[i];
+                while (pos - row_start >= recipe.width) {
+                    ++y;
+                    row_start += recipe.width;
+                }
+                std::uint32_t out_x =
+                    recipe.offset + recipe.dilation * (pos - row_start);
+                std::uint32_t out_y = recipe.offset + recipe.dilation * y;
+                std::size_t dst = written++;
+                if (recipe.rotate) {
+                    out_x = recipe.outWidth - 1 - out_x;
+                    out_y = recipe.outHeight - 1 - out_y;
+                    dst = nnz - 1 - dst;
+                }
+                values[dst] = scratch.values[i];
+                columns[dst] = out_x;
+                ++row_ptr[out_y + 1];
+            }
+            for (std::uint32_t r = 0; r < recipe.outHeight; ++r)
+                row_ptr[r + 1] += row_ptr[r];
+        });
 }
 
 std::uint64_t
@@ -291,48 +394,13 @@ mixSeed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
     return x;
 }
 
-Dense2d<float>
-generatePlane(std::uint32_t height, std::uint32_t width, double sparsity,
-              SparsifyMethod method, Rng &rng)
-{
-    Dense2d<float> plane = method == SparsifyMethod::Bernoulli
-        ? bernoulliPlane(height, width, sparsity, rng)
-        : topKSparsify(randomDensePlane(height, width, rng), sparsity);
-    // The datapath stores Bfloat16 values (Table 4); quantize here so
-    // the whole simulation sees exactly what the hardware would.
-    for (float &v : plane.data())
-        v = bf16Round(v);
-    return plane;
-}
-
-Dense2d<float>
-embedPlane(const Dense2d<float> &inner, std::uint32_t out_height,
-           std::uint32_t out_width, std::uint32_t offset,
-           std::uint32_t dilation)
-{
-    ANT_ASSERT(dilation >= 1, "dilation must be at least 1");
-    ANT_ASSERT(offset + dilation * (inner.height() - 1) < out_height &&
-               offset + dilation * (inner.width() - 1) < out_width,
-               "embedded plane does not fit: inner ", inner.height(), "x",
-               inner.width(), " offset ", offset, " dilation ", dilation,
-               " into ", out_height, "x", out_width);
-
-    Dense2d<float> out(out_height, out_width);
-    for (std::uint32_t y = 0; y < inner.height(); ++y)
-        for (std::uint32_t x = 0; x < inner.width(); ++x)
-            out.at(offset + dilation * x, offset + dilation * y) =
-                inner.at(x, y);
-    return out;
-}
-
 PlanePair
 makeConvPhasePair(const ConvLayer &layer, TrainingPhase phase,
                   const SparsityProfile &profile, Rng &rng)
 {
     const PhaseSpecs specs = layer.phaseSpecs();
     // Kernel plane first, then image: the draw order the per-pair API
-    // has always used (the fused CSR generator consumes the identical
-    // random stream as the legacy dense pipeline).
+    // has always used.
     CsrMatrix kernel = generateCsrPlane(
         convKernelRecipe(layer, phase, profile, specs), rng);
     CsrMatrix image = generateCsrPlane(
@@ -401,7 +469,8 @@ PlanePair
 makeMatmulPair(const MatmulLayer &layer, double sparsity,
                SparsifyMethod method, Rng &rng)
 {
-    // Image first, then kernel: the legacy draw order.
+    // Image first, then kernel: the draw order this API has always
+    // used.
     CsrMatrix image = generateCsrPlane(
         PlaneRecipe::plain(layer.imageH, layer.imageW, sparsity, method),
         rng);

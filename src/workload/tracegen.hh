@@ -23,6 +23,7 @@
 #ifndef ANTSIM_WORKLOAD_TRACEGEN_HH
 #define ANTSIM_WORKLOAD_TRACEGEN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -78,13 +79,26 @@ struct PlaneRecipe
 };
 
 /**
- * Generate the plane described by (@p recipe, @p rng) as CSR directly.
- * A fused generator: it consumes exactly the same random stream and
- * produces bit-identical values/columns/rowPtr arrays as the legacy
- * generatePlane -> embedPlane -> fromDense -> rotated180 pipeline, but
- * skips the dense intermediates (tests/census_property_test.cc).
+ * Generate the plane described by (@p recipe, @p rng) as CSR, written
+ * straight into one arena slab. The plane and the Rng state it leaves
+ * are those of drawing the dense inner plane, sparsifying it
+ * (bernoulliPlane or topKSparsify over randomDensePlane), quantizing
+ * to bf16, embedding, compressing and rotating; top-K skips the
+ * Box-Muller transform of cells that provably cannot be kept
+ * (docs/MODEL.md Sec. 10, tests/census_property_test.cc).
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
+
+/**
+ * Magnitude cutoff B of the top-K filter for a plane keeping @p keep
+ * of @p total cells; 0 means the plane is generated unfiltered. B is a
+ * float whose two-sided tail P(|N| > B) is the keep share plus a
+ * 3-sigma binomial margin, so fewer than @p keep cells beat it -- which
+ * forces the unfiltered rerun -- in under 0.1% of planes. It is +inf
+ * when nothing is kept: then no cell needs its transform. B only sets
+ * how much work is skipped; the plane never depends on it.
+ */
+float topKFilterCutoff(std::size_t total, std::size_t keep);
 
 /**
  * Process-wide number of generateCsrPlane calls (a relaxed atomic).
@@ -178,11 +192,6 @@ struct StackTask
 std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c_value = 0);
 
-/** Generate one plane at the given dims/sparsity/method. */
-Dense2d<float> generatePlane(std::uint32_t height, std::uint32_t width,
-                             double sparsity, SparsifyMethod method,
-                             Rng &rng);
-
 /**
  * Build the (kernel, image) pair for one sampled (k, c) plane pair of
  * a conv layer in the given phase. @p rng provides all randomness.
@@ -222,15 +231,6 @@ PlaneRecipe convImageRecipe(const ConvLayer &layer, TrainingPhase phase,
 PlaneRecipe convKernelRecipe(const ConvLayer &layer, TrainingPhase phase,
                              const SparsityProfile &profile,
                              const PhaseSpecs &specs);
-
-/**
- * Embed an unpadded plane into a larger plane with the given border
- * offset (used for padding and, with @p dilation > 1, zero-dilation of
- * the backward-phase gradient).
- */
-Dense2d<float> embedPlane(const Dense2d<float> &inner,
-                          std::uint32_t out_height, std::uint32_t out_width,
-                          std::uint32_t offset, std::uint32_t dilation = 1);
 
 } // namespace antsim
 

@@ -9,19 +9,92 @@
  *  - ValidTable must agree with ProblemSpec::isValid on every
  *    (x, y, s, r) coordinate;
  *  - generateCsrPlane must consume the identical random stream and
- *    emit the bit-identical CsrMatrix as the legacy dense pipeline
- *    generatePlane -> embedPlane -> fromDense -> rotated180.
+ *    emit the bit-identical CsrMatrix as the dense oracle pipeline
+ *    generatePlane -> embedPlane -> fromDense -> rotated180 below, on
+ *    toy and paper-sized planes, through the top-K filter's fallback
+ *    too.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "tensor/sparsify.hh"
+#include "util/bfloat16.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
 namespace {
+
+/**
+ * Oracle: one dense inner plane, sparsified, then quantized to the
+ * datapath's bf16 (Table 4).
+ */
+Dense2d<float>
+generatePlane(std::uint32_t height, std::uint32_t width, double sparsity,
+              SparsifyMethod method, Rng &rng)
+{
+    Dense2d<float> plane = method == SparsifyMethod::Bernoulli
+        ? bernoulliPlane(height, width, sparsity, rng)
+        : topKSparsify(randomDensePlane(height, width, rng), sparsity);
+    for (float &v : plane.data())
+        v = bf16Round(v);
+    return plane;
+}
+
+/**
+ * Oracle: embed an unpadded plane into a larger plane at a border
+ * offset (padding) and, with @p dilation > 1, zero-dilate it (the
+ * backward-phase gradient).
+ */
+Dense2d<float>
+embedPlane(const Dense2d<float> &inner, std::uint32_t out_height,
+           std::uint32_t out_width, std::uint32_t offset,
+           std::uint32_t dilation = 1)
+{
+    ANT_ASSERT(offset + dilation * (inner.height() - 1) < out_height &&
+                   offset + dilation * (inner.width() - 1) < out_width,
+               "embedded plane does not fit");
+    Dense2d<float> out(out_height, out_width);
+    for (std::uint32_t y = 0; y < inner.height(); ++y)
+        for (std::uint32_t x = 0; x < inner.width(); ++x)
+            out.at(offset + dilation * x, offset + dilation * y) =
+                inner.at(x, y);
+    return out;
+}
+
+TEST(PlaneOracle, EmbedPlaneCentersWithPadding)
+{
+    Dense2d<float> inner(2, 2);
+    inner.at(0, 0) = 1.0f;
+    inner.at(1, 1) = 2.0f;
+    const auto out = embedPlane(inner, 4, 4, 1);
+    EXPECT_EQ(out.at(1, 1), 1.0f);
+    EXPECT_EQ(out.at(2, 2), 2.0f);
+    EXPECT_EQ(out.nnz(), 2u);
+}
+
+TEST(PlaneOracle, EmbedPlaneDilates)
+{
+    Dense2d<float> inner(2, 2);
+    inner.at(0, 0) = 1.0f;
+    inner.at(1, 0) = 2.0f;
+    inner.at(1, 1) = 3.0f;
+    const auto out = embedPlane(inner, 5, 5, 0, 2);
+    EXPECT_EQ(out.at(0, 0), 1.0f);
+    EXPECT_EQ(out.at(2, 0), 2.0f);
+    EXPECT_EQ(out.at(2, 2), 3.0f);
+    EXPECT_EQ(out.nnz(), 3u);
+}
+
+TEST(PlaneOracleDeathTest, EmbedMustFit)
+{
+    Dense2d<float> inner(3, 3, 1.0f);
+    EXPECT_DEATH(embedPlane(inner, 4, 4, 2), "does not fit");
+}
 
 /** A sparsified, bf16-quantized CSR plane (the simulators' diet). */
 CsrMatrix
@@ -138,7 +211,7 @@ TEST(CensusProperty, EmptyPlanesCountZero)
     EXPECT_EQ(got.denseProducts, spec.denseCartesianProducts());
 }
 
-/** Legacy dense pipeline the fused generator must reproduce exactly. */
+/** Dense oracle pipeline the generator must reproduce exactly. */
 CsrMatrix
 legacyPlane(const PlaneRecipe &recipe, Rng &rng)
 {
@@ -170,30 +243,92 @@ expectFusedMatchesLegacy(const PlaneRecipe &recipe, std::uint64_t seed)
     EXPECT_EQ(legacy_rng.state(), fused_rng.state());
 }
 
+/** A random embedding (offset, dilation, slack, rotation) of @p recipe. */
+void
+randomEmbedding(PlaneRecipe &recipe, Rng &rng)
+{
+    recipe.offset = static_cast<std::uint32_t>(rng.range(0, 3));
+    recipe.dilation = static_cast<std::uint32_t>(rng.range(1, 3));
+    recipe.outHeight = recipe.offset +
+        recipe.dilation * (recipe.height - 1) + 1 +
+        static_cast<std::uint32_t>(rng.range(0, 3));
+    recipe.outWidth = recipe.offset +
+        recipe.dilation * (recipe.width - 1) + 1 +
+        static_cast<std::uint32_t>(rng.range(0, 3));
+    recipe.rotate = rng.bernoulli(0.5);
+}
+
 TEST(CensusProperty, FusedGeneratorMatchesLegacyPipeline)
 {
-    Rng rng(404);
-    for (const SparsifyMethod method :
-         {SparsifyMethod::Bernoulli, SparsifyMethod::TopK}) {
-        for (int trial = 0; trial < 25; ++trial) {
-            PlaneRecipe recipe;
-            recipe.height = static_cast<std::uint32_t>(rng.range(1, 16));
-            recipe.width = static_cast<std::uint32_t>(rng.range(1, 16));
-            recipe.sparsity = rng.uniform();
-            recipe.method = method;
-            recipe.offset = static_cast<std::uint32_t>(rng.range(0, 3));
-            recipe.dilation =
-                static_cast<std::uint32_t>(rng.range(1, 3));
-            recipe.outHeight = recipe.offset +
-                recipe.dilation * (recipe.height - 1) + 1 +
-                static_cast<std::uint32_t>(rng.range(0, 3));
-            recipe.outWidth = recipe.offset +
-                recipe.dilation * (recipe.width - 1) + 1 +
-                static_cast<std::uint32_t>(rng.range(0, 3));
-            recipe.rotate = rng.bernoulli(0.5);
-            expectFusedMatchesLegacy(recipe, rng.next());
+    // The paper's kernel and feature-map planes and the largest matmul
+    // operands, the sizes at which the top-K filter is on, plus {0, 0}:
+    // a random toy size up to 16x16.
+    const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
+        {1, 1},   {3, 3},     {7, 7},    {14, 14}, {28, 28},
+        {56, 56}, {112, 112}, {512, 72}, {300, 8}, {0, 0}};
+    const double sparsities[] = {0.0, 0.5, 0.875, 0.9, 0.95, 0.99, 1.0};
+    constexpr std::size_t kSizes = std::size(sizes);
+    constexpr std::size_t kSparsities = std::size(sparsities) + 1;
+    Rng recipe_rng(1414);
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        // One stream per seed through two planes, as a task draws its
+        // planes back to back: the second starts where the first left
+        // the Rng. The first cycles through every (size, sparsity,
+        // method); index kSparsities - 1 draws a random sparsity.
+        Rng legacy_rng(seed);
+        Rng fused_rng(seed);
+        for (int plane = 0; plane < 2; ++plane) {
+            const std::uint64_t pick =
+                plane == 0 ? seed : recipe_rng.next();
+            auto [height, width] = sizes[pick % kSizes];
+            if (height == 0) {
+                height = static_cast<std::uint32_t>(recipe_rng.range(1, 16));
+                width = static_cast<std::uint32_t>(recipe_rng.range(1, 16));
+            }
+            const std::size_t s = pick / kSizes % kSparsities;
+            PlaneRecipe recipe = PlaneRecipe::plain(
+                height, width,
+                s < std::size(sparsities) ? sparsities[s]
+                                          : recipe_rng.uniform(),
+                pick / (kSizes * kSparsities) % 2 == 0
+                    ? SparsifyMethod::TopK
+                    : SparsifyMethod::Bernoulli);
+            randomEmbedding(recipe, recipe_rng);
+            const CsrMatrix expected = legacyPlane(recipe, legacy_rng);
+            const CsrMatrix got = generateCsrPlane(recipe, fused_rng);
+            ASSERT_TRUE(expected == got)
+                << "seed " << seed << " plane " << plane << ": "
+                << height << "x" << width << " sparsity "
+                << recipe.sparsity << " offset " << recipe.offset
+                << " dilation " << recipe.dilation << " rotate "
+                << recipe.rotate;
+            ASSERT_EQ(legacy_rng.state(), fused_rng.state())
+                << "seed " << seed << " plane " << plane;
         }
     }
+}
+
+TEST(CensusProperty, FusedGeneratorMatchesLegacyThroughFilterFallback)
+{
+    // 7x7 at 90% keeps 5 of 49 cells, with the top-K filter on. At
+    // this seed fewer than 5 of the plane's normals beat the filter's
+    // cutoff, so the filtered pass cannot decide the selection and the
+    // generator must rewind and rerun unfiltered.
+    const PlaneRecipe recipe =
+        PlaneRecipe::plain(7, 7, 0.9, SparsifyMethod::TopK);
+    const std::size_t keep = 5;
+    const float cutoff = topKFilterCutoff(49, keep);
+    ASSERT_GT(cutoff, 0.0f);
+    // The first seed from 0 upward that forces it (about 1 in 75,000).
+    const std::uint64_t seed = 75624;
+    Rng replay(seed);
+    std::size_t beyond = 0;
+    for (int cell = 0; cell < 49; ++cell) {
+        const float f = static_cast<float>(replay.normal());
+        beyond += std::fabs(f) > cutoff ? 1 : 0;
+    }
+    ASSERT_LT(beyond, keep) << "seed no longer forces the fallback";
+    expectFusedMatchesLegacy(recipe, seed);
 }
 
 TEST(CensusProperty, FusedGeneratorSparsityExtremes)

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
+#include "util/box_muller_bound.hh"
 #include "util/rng.hh"
 
 namespace antsim {
@@ -147,6 +149,84 @@ TEST(Rng, SplitProducesIndependentStream)
     for (int i = 0; i < 64; ++i)
         same += child.next() == parent.next() ? 1 : 0;
     EXPECT_LT(same, 2);
+}
+
+TEST(Rng, NormalIsBoxMullerOfItsDraw)
+{
+    Rng a(8);
+    Rng b(8);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(a.normal(), Rng::boxMuller(b.boxMullerDraw()));
+    EXPECT_EQ(a.state(), b.state());
+}
+
+TEST(BoxMullerBound, RadiusTableBoundsEveryBin)
+{
+    using B = BoxMullerBound;
+    const B &bound = B::get();
+    const auto radius = [](double u) { return std::sqrt(-2.0 * std::log(u)); };
+    // Rng::uniform's smallest positive and largest values.
+    EXPECT_EQ(B::radiusBin(0x1.0p-53), 0u);
+    EXPECT_EQ(B::radiusBin(1.0 - 0x1.0p-53), B::kRadiusBins - 1);
+    Rng rng(53);
+    for (std::size_t bin = 0; bin < B::kRadiusBins; ++bin) {
+        const double low = B::radiusBinLow(bin);
+        const double next =
+            bin + 1 < B::kRadiusBins ? B::radiusBinLow(bin + 1) : 1.0;
+        const double last = std::nextafter(next, 0.0);
+        ASSERT_EQ(B::radiusBin(low), bin);
+        ASSERT_EQ(B::radiusBin(last), bin);
+        ASSERT_GE(bound.radiusMax(low), radius(low)) << "bin " << bin;
+        ASSERT_GE(bound.radiusMax(last), radius(last)) << "bin " << bin;
+        for (int i = 0; i < 64; ++i) {
+            const double u =
+                std::min(low + (next - low) * rng.uniform(), last);
+            ASSERT_EQ(B::radiusBin(u), bin);
+            ASSERT_GE(bound.radiusMax(u), radius(u))
+                << "bin " << bin << " u " << u;
+        }
+    }
+}
+
+TEST(BoxMullerBound, CosineTableBoundsDenseGrid)
+{
+    using B = BoxMullerBound;
+    const B &bound = B::get();
+    const auto cosine = [](double u) {
+        return std::fabs(std::cos(Rng::kTwoPi * u));
+    };
+    // The peaks of |cos(2 pi u)| at 0 and 1/2 are bin edges.
+    EXPECT_GE(bound.cosMax(0.0), 1.0);
+    EXPECT_GE(bound.cosMax(0.5), 1.0);
+    EXPECT_GE(bound.cosMax(std::nextafter(0.5, 0.0)), cosine(0.5));
+    // 64 grid points per bin, edges included, plus each bin's last
+    // double.
+    constexpr std::size_t kPerBin = 64;
+    for (std::size_t i = 0; i < B::kCosBins * kPerBin; ++i) {
+        const double u = static_cast<double>(i) /
+            static_cast<double>(B::kCosBins * kPerBin);
+        ASSERT_EQ(B::cosBin(u), i / kPerBin);
+        ASSERT_GE(bound.cosMax(u), cosine(u)) << "u " << u;
+        if (i % kPerBin == 0 && i > 0) {
+            const double last = std::nextafter(u, 0.0);
+            ASSERT_EQ(B::cosBin(last), i / kPerBin - 1);
+            ASSERT_GE(bound.cosMax(last), cosine(last)) << "u " << last;
+        }
+    }
+    const double last = std::nextafter(1.0, 0.0);
+    ASSERT_EQ(B::cosBin(last), B::kCosBins - 1);
+    EXPECT_GE(bound.cosMax(last), cosine(last));
+}
+
+TEST(BoxMullerBound, MagnitudeBoundsEveryDraw)
+{
+    const BoxMullerBound &bound = BoxMullerBound::get();
+    Rng rng(2022);
+    for (int i = 0; i < 200000; ++i) {
+        const Rng::BoxMullerDraw draw = rng.boxMullerDraw();
+        ASSERT_GE(bound.magnitudeMax(draw), std::fabs(Rng::boxMuller(draw)))
+            << "u1 " << draw.u1 << " u2 " << draw.u2;
+    }
 }
 
 } // namespace

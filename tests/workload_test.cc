@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "ant/ant_pe.hh"
 #include "conv/dense_conv.hh"
@@ -74,36 +76,6 @@ TEST(Tracegen, MixSeedDeterministicAndSensitive)
     EXPECT_EQ(mixSeed(1, 2, 3, 4), mixSeed(1, 2, 3, 4));
     EXPECT_NE(mixSeed(1, 2, 3, 4), mixSeed(1, 2, 3, 5));
     EXPECT_NE(mixSeed(1, 2, 3, 4), mixSeed(2, 2, 3, 4));
-}
-
-TEST(Tracegen, EmbedPlaneCentersWithPadding)
-{
-    Dense2d<float> inner(2, 2);
-    inner.at(0, 0) = 1.0f;
-    inner.at(1, 1) = 2.0f;
-    const auto out = embedPlane(inner, 4, 4, 1);
-    EXPECT_EQ(out.at(1, 1), 1.0f);
-    EXPECT_EQ(out.at(2, 2), 2.0f);
-    EXPECT_EQ(out.nnz(), 2u);
-}
-
-TEST(Tracegen, EmbedPlaneDilates)
-{
-    Dense2d<float> inner(2, 2);
-    inner.at(0, 0) = 1.0f;
-    inner.at(1, 0) = 2.0f;
-    inner.at(1, 1) = 3.0f;
-    const auto out = embedPlane(inner, 5, 5, 0, 2);
-    EXPECT_EQ(out.at(0, 0), 1.0f);
-    EXPECT_EQ(out.at(2, 0), 2.0f);
-    EXPECT_EQ(out.at(2, 2), 3.0f);
-    EXPECT_EQ(out.nnz(), 3u);
-}
-
-TEST(TracegenDeathTest, EmbedMustFit)
-{
-    Dense2d<float> inner(3, 3, 1.0f);
-    EXPECT_DEATH(embedPlane(inner, 4, 4, 2), "does not fit");
 }
 
 TEST(Tracegen, ForwardPairShapes)
@@ -243,6 +215,35 @@ TEST(Tracegen, EveryTaskGeneratesEachOfItsPlanes)
         EXPECT_EQ(trace_cache::misses() - misses, expected);
         EXPECT_EQ(trace_cache::hits(), 0u);
     }
+}
+
+TEST(Tracegen, PlaneCountSumsEveryThreadsPlanes)
+{
+    // Planes from every thread count, live or exited, and the total
+    // never goes backwards while they run.
+    constexpr int kThreads = 4;
+    constexpr int kPlanesPerThread = 2000;
+    const std::uint64_t before = tracePlanesGenerated();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([t] {
+            Rng rng(static_cast<std::uint64_t>(t));
+            const PlaneRecipe recipe =
+                PlaneRecipe::plain(1, 1, 0.5, SparsifyMethod::Bernoulli);
+            for (int i = 0; i < kPlanesPerThread; ++i)
+                generateCsrPlane(recipe, rng);
+        });
+    }
+    std::uint64_t seen = before;
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t now = tracePlanesGenerated();
+        EXPECT_GE(now, seen);
+        seen = now;
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    EXPECT_EQ(tracePlanesGenerated() - before,
+              static_cast<std::uint64_t>(kThreads) * kPlanesPerThread);
 }
 
 TEST(Tracegen, MatmulPairShapes)
