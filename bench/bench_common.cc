@@ -1,13 +1,14 @@
 #include "bench_common.hh"
 
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "estimate/estimate.hh"
 #include "obs/host_trace.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/energy.hh"
 #include "sim/pe_model.hh"
@@ -31,6 +32,26 @@ basenameOf(const std::string &path)
 {
     const auto slash = path.find_last_of('/');
     return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/**
+ * The process's peak resident set in KiB: the VmHWM line of
+ * /proc/self/status. Empty where that file or line is missing (non-Linux
+ * hosts), so the report omits the key instead of guessing.
+ */
+std::optional<std::uint64_t>
+peakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        std::istringstream fields(line);
+        std::string key;
+        std::uint64_t kb = 0;
+        if (fields >> key >> kb && key == "VmHWM:")
+            return kb;
+    }
+    return std::nullopt;
 }
 
 /** Read a flag that must be a non-negative integer fitting uint32. */
@@ -108,10 +129,9 @@ parseOptions(int argc, const char *const *argv,
     if (!options.traceOutPath.empty())
         obs::setEnabled(true);
     // --host-trace-out wins over ANTSIM_HOST_TRACE (same precedence as
-    // --trace-out/ANTSIM_TRACE). A non-empty path switches host
-    // observability -- span tracer and metrics registry -- on for the
-    // whole run and attaches the main thread; pool workers attach
-    // themselves.
+    // --trace-out/ANTSIM_TRACE). A non-empty path switches the host
+    // span tracer on for the whole run and attaches the main thread;
+    // pool workers attach themselves.
     if (g_cli->has("host-trace-out")) {
         options.hostTraceOutPath = g_cli->get("host-trace-out");
         if (options.hostTraceOutPath == "true")
@@ -123,7 +143,6 @@ parseOptions(int argc, const char *const *argv,
     if (!options.hostTraceOutPath.empty()) {
         obs::host::setEnabled(true);
         obs::host::threadAttach("main");
-        obs::metrics::threadAttach();
     }
     if (g_cli->getBool("audit"))
         audit::setEnabled(true);
@@ -358,10 +377,8 @@ finish(const BenchOptions &options)
     if (!options.traceOutPath.empty())
         obs::globalSink().writeChromeJson(options.traceOutPath,
                                           options.run.numPes);
-    // Host metrics ride the report only when host observability was
-    // on, so plain report bytes stay identical (obs_overhead_test).
-    if (obs::host::enabled())
-        g_report.setHostMetrics(obs::metrics::snapshot());
+    if (const std::optional<std::uint64_t> kb = peakRssKb())
+        g_report.setPeakRssKb(*kb);
     if (!options.hostTraceOutPath.empty()) {
         obs::host::writeChromeJson(options.hostTraceOutPath);
         std::printf("[host-trace] wrote %s\n",

@@ -32,13 +32,11 @@
  *                 ANTSIM_TRACE environment variable when set
  *   --host-trace-out path  turn on host observability: write the
  *                 host-execution Chrome trace (src/obs/host_trace.hh:
- *                 per-run / per-stage / per-unit wall-clock spans) to
- *                 @p path and embed the metrics registry
- *                 (src/obs/metrics.hh: pool, arena and runner counters,
- *                 gauges, per-worker accounting) as a host_metrics
- *                 section in the --json report; defaults to the
+ *                 per-run / per-stage / per-unit wall-clock spans per
+ *                 host thread) to @p path; defaults to the
  *                 ANTSIM_HOST_TRACE environment variable when set.
- *                 Never changes results, only host-side accounting
+ *                 Never changes results or the --json report outside
+ *                 its profile section
  *   --log-level L verbosity: error, warn (default), info (adds the
  *                 progress heartbeat), or debug; defaults to the
  *                 ANTSIM_LOG_LEVEL environment variable when set
@@ -50,7 +48,8 @@
  * Besides printing, every table, key metric, and network run is
  * recorded in a process-wide RunReport; main() ends with
  * `return bench::finish(options);` which writes the --json/--csv
- * outputs (including the stage-profiler section, report/profiler.hh).
+ * outputs (including the profile section: stage-profiler timings,
+ * report/profiler.hh, and the process's peak RSS).
  */
 
 #ifndef ANTSIM_BENCH_BENCH_COMMON_HH
@@ -88,9 +87,9 @@ struct BenchOptions
     /**
      * Write the host-execution Chrome trace here when non-empty
      * (--host-trace-out path, or the ANTSIM_HOST_TRACE environment
-     * variable). A non-empty path enables host observability -- span
-     * collection and the metrics registry -- and adds a host_metrics
-     * section to the JSON report.
+     * variable). A non-empty path enables host span collection
+     * (obs::host::setEnabled); the JSON report is unchanged outside
+     * its profile section.
      */
     std::string hostTraceOutPath;
     /**
@@ -122,7 +121,11 @@ void printHeader(const std::string &experiment,
  */
 void emitTable(const Table &table, const BenchOptions &options);
 
-/** Memoized network stats: run a PE model over a named network. */
+/**
+ * Run a PE model over a named network under its default sparsity
+ * profile, labelling the run "<pe>/<network>" in the traces and the
+ * heartbeat. Every call simulates afresh.
+ */
 NetworkStats runNetwork(PeModel &pe, const NamedNetwork &network,
                         double target_sparsity, const RunConfig &config);
 
@@ -187,8 +190,10 @@ std::vector<NamedNetwork> selectNetworks(std::vector<NamedNetwork> all,
                                          const BenchOptions &options);
 
 /**
- * Finalize the run: write --json / --csv outputs. Every bench main()
- * returns this. Always 0 (failures are fatal).
+ * Finalize the run: record the process's peak RSS (VmHWM) as
+ * profile.peak_rss_kb and write the --json / --csv outputs and the
+ * traces. Every bench main() returns this. Always 0 (failures are
+ * fatal).
  */
 int finish(const BenchOptions &options);
 

@@ -5,7 +5,7 @@ Usage: check_perf.py BASELINE.json REPORT.json [--factor F]
        [--min-seconds S] [--micro MICRO.json ...]
        check_perf.py --trend [BENCH_history.jsonl]
        check_perf.py --overhead BASE.json METERED.json
-       [--max-overhead-pct P]
+       [BASE.json METERED.json ...] [--max-overhead-pct P]
 
 BASELINE.json is the checked-in scripts/perf_baseline.json: a document
 with a "stage_seconds" object of per-stage seconds recorded from a
@@ -47,14 +47,16 @@ the delta of the newest entry against the one before it. Machine-to-machine
 variance makes an automatic gate on history meaningless; the value is a
 human-readable trajectory in the CI log.
 
---overhead gates the cost of observability itself: BASE.json is a
-report from a plain run, METERED.json the same configuration with host
-observability on (--host-trace-out, the one switch for the host span
-tracer and the metrics registry), and the summed
-profile.stages[].seconds of the metered run must stay within
---max-overhead-pct (default 3) of the base run. This is the CI teeth
-behind the "one thread-local branch when off, cheap when on" design
-contract of src/obs/host_trace.hh and src/obs/metrics.hh.
+--overhead gates the cost of observability itself over one or more
+BASE/METERED pairs: BASE.json is a report from a plain run, METERED.json
+the same configuration with host observability on (--host-trace-out,
+which turns on the host span tracer). Each pair's delta is the metered
+run's summed profile.stages[].seconds over the base run's, and the
+median delta must stay within --max-overhead-pct (default 3). On a
+~0.1 s workload one pair swings by more than the bound either way, so
+CI passes several interleaved pairs. This is the CI teeth behind the
+"one thread-local branch when off, cheap when on" design contract of
+src/obs/host_trace.hh.
 
 Only the Python standard library is used: the bench containers and the
 CI runner deliberately have no third-party packages installed.
@@ -62,6 +64,7 @@ CI runner deliberately have no third-party packages installed.
 
 import json
 import os
+import statistics
 import sys
 
 
@@ -325,22 +328,27 @@ def profile_seconds(report, path):
 
 
 def run_overhead(args):
-    """Gate metered-run overhead vs a metrics-off base run."""
+    """Gate the median metered-run overhead over BASE/METERED pairs."""
     max_pct = parse_flag(args, "--max-overhead-pct", 3.0)
-    if len(args) != 2:
-        fatal("--overhead expects BASE.json METERED.json")
-    base_path, metered_path = args
-    base = profile_seconds(load_json(base_path), base_path)
-    metered = profile_seconds(load_json(metered_path), metered_path)
-    if base <= 0:
-        fatal("{}: non-positive profiled seconds".format(base_path))
-    pct = (metered - base) / base * 100.0
+    if not args or len(args) % 2 != 0:
+        fatal("--overhead expects BASE.json METERED.json pairs")
+    deltas = []
+    for base_path, metered_path in zip(args[0::2], args[1::2]):
+        base = profile_seconds(load_json(base_path), base_path)
+        metered = profile_seconds(load_json(metered_path), metered_path)
+        if base <= 0:
+            fatal("{}: non-positive profiled seconds".format(base_path))
+        deltas.append((metered - base) / base * 100.0)
+        print("check_perf:   pair {}: base {:.4f}s, metered {:.4f}s, "
+              "delta {:+.1f}%".format(len(deltas), base, metered,
+                                      deltas[-1]))
+    pct = statistics.median(deltas)
     verdict = "ok" if pct <= max_pct else "REGRESSED"
-    print("check_perf: observability overhead: base {:.4f}s, metered "
-          "{:.4f}s, delta {:+.1f}% (max {:+.1f}%)  {}".format(
-              base, metered, pct, max_pct, verdict))
+    print("check_perf: observability overhead: median delta {:+.1f}% "
+          "over {} pair(s) (max {:+.1f}%)  {}".format(
+              pct, len(deltas), max_pct, verdict))
     if verdict == "REGRESSED":
-        fatal("metered run exceeded the {:.1f}% observability overhead "
+        fatal("metered runs exceeded the {:.1f}% observability overhead "
               "budget".format(max_pct))
     return 0
 

@@ -11,8 +11,11 @@ deterministic for a fixed configuration at every thread count.
 --host switches to the host-execution trace written by
 --host-trace-out / ANTSIM_HOST_TRACE (src/obs/host_trace.cc):
 wall-clock run/stage/unit spans per host thread. The summary prints
-a per-thread utilization table (top-level span time over the thread's
-observed makespan), the unit-span count with the p50, p99 and max unit
+a per-worker utilization table (top-level span time over the observed
+makespan; every run builds a fresh pool whose threads register their
+own lanes, so lanes sharing a thread_name -- "worker 1" of each run --
+are folded into one row by summing busy time, makespan and spans),
+the unit-span count with the p50, p99 and max unit
 wall time in microseconds (nearest-rank percentiles), and the --top
 spans by *self* time (duration minus the durations of spans nested
 inside it on the same thread -- the time the span itself was on the
@@ -21,7 +24,8 @@ simulated-time one:
   - every event carries name/ph/pid/ts, ph is one of M/X/i, and
     durations are non-negative integers;
   - span cats are exactly run/stage/unit;
-  - spans on one thread nest properly: sorted by (ts, -dur), every
+  - spans on one thread (tid, before folding) nest properly: sorted
+    by (ts, -dur), every
     span either fits entirely inside the enclosing open span or starts
     at/after its end (the floor-both-endpoints microsecond rounding in
     host_trace.cc preserves this by construction);
@@ -172,7 +176,7 @@ def host_main(path, events, check, top):
         thread_spans[tid].append(
             (event["ts"], event["dur"], event["name"], cat))
 
-    rows = []        # (tid, top_level_us, makespan_us, spans)
+    rows = {}        # thread_name -> [top_level_us, makespan_us, spans]
     all_spans = []   # (self, dur, ts, tid, name, cat)
     for tid in sorted(thread_spans):
         spans = thread_spans[tid]
@@ -196,7 +200,11 @@ def host_main(path, events, check, top):
             if ts >= cursor:
                 top_level += dur
                 cursor = ts + dur
-        rows.append((tid, top_level, hi - lo, len(spans)))
+        row = rows.setdefault(
+            thread_names.get(tid, "tid {}".format(tid)), [0, 0, 0])
+        row[0] += top_level
+        row[1] += hi - lo
+        row[2] += len(spans)
 
     if errors:
         print("trace_summary: {} FAILS ({} violations):".format(
@@ -209,15 +217,14 @@ def host_main(path, events, check, top):
 
     total_spans = sum(len(s) for s in thread_spans.values())
     print("trace_summary: {} -- host trace, {} events, {} spans, "
-          "{} threads".format(path, len(events), total_spans,
-                              len(thread_spans)))
+          "{} thread lanes".format(path, len(events), total_spans,
+                                   len(thread_spans)))
     print("{:<12} {:>14} {:>14} {:>7} {:>8}".format(
         "thread", "busy (us)", "makespan (us)", "util%", "spans"))
-    for tid, top_level, makespan, count in rows:
+    for name, (top_level, makespan, count) in rows.items():
         pct = (100.0 * top_level / makespan) if makespan else 0.0
         print("{:<12} {:>14} {:>14} {:>6.1f}% {:>8}".format(
-            thread_names.get(tid, "tid {}".format(tid)), top_level,
-            makespan, pct, count))
+            name, top_level, makespan, pct, count))
 
     unit_us = sorted(dur for spans in thread_spans.values()
                      for _ts, dur, _name, cat in spans if cat == "unit")

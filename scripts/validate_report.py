@@ -29,9 +29,11 @@ On top of the structural check, two semantic laws are enforced:
     (scripts/merge_reports.py enforces the same law at merge time;
     this check catches documents assembled any other way).
 
-The "host_metrics" section of a metered run (host observability on:
---host-trace-out / ANTSIM_HOST_TRACE, the one switch) holds host
-wall-clock and allocator accounting; only its shape is validated.
+The "profile" section holds host facts (stage wall time, census
+totals, and the optional peak_rss_kb, the process's VmHWM in KiB);
+only its shape is validated, with peak_rss_kb, when present, a
+positive integer. Host observability (--host-trace-out) adds no
+report section: its output is the host trace file.
 
 Exits 0 when the document conforms, 1 with every violation listed
 otherwise.

@@ -8,13 +8,15 @@
  * simulated trace's unit events, which is the cross-link: pick a unit
  * in one trace, find it in the other.
  *
- * Layering mirrors obs/metrics.hh: the producer API is header-inline
- * (instrumented ant_util / workload code never links ant_obs); the
- * exporter lives in host_trace.cc and is called from bench code.
+ * This tracer is the whole of host observability: per-worker busy
+ * time is the sum of a lane's top-level spans (scripts/trace_summary.py
+ * --host), and the process's memory is the report's profile.peak_rss_kb.
  *
- * One switch: setEnabled() below turns on host observability as a
- * whole -- this tracer and the metrics registry (obs/metrics.hh, whose
- * threadAttach consults enabled()). Benches drive it from
+ * Layering: the producer API is header-inline (instrumented ant_util /
+ * workload code never links ant_obs); the exporter lives in
+ * host_trace.cc and is called from bench code.
+ *
+ * One switch: setEnabled() below. Benches drive it from
  * --host-trace-out / ANTSIM_HOST_TRACE.
  *
  * Threading: each recording thread owns a ThreadBuf (installed by
@@ -27,7 +29,7 @@
  * Overhead: when host tracing is off (the default), every site is one
  * thread-local pointer branch (detail::t_buf stays nullptr), the same
  * discipline -- and the same obs_overhead_test proof obligation -- as
- * the simulated-time recorder and the metrics registry.
+ * the simulated-time recorder.
  *
  * Host wall-clock readings are confined to this whitelisted header
  * (antsim-lint no-wall-clock-in-sim): instrumented code, the stage
@@ -100,7 +102,7 @@ registry()
 
 } // namespace detail
 
-/** Whether host observability (spans and metrics) is collecting. */
+/** Whether host observability (the span tracer) is collecting. */
 inline bool
 enabled()
 {
@@ -108,9 +110,9 @@ enabled()
 }
 
 /**
- * Turn host observability -- this tracer and the metrics registry --
- * on or off process-wide. Threads attach lazily; disabling stops new
- * attachments but leaves existing buffers and shards in place.
+ * Turn host observability -- this tracer -- on or off process-wide.
+ * Threads attach lazily; disabling stops new attachments but leaves
+ * existing buffers in place.
  */
 inline void
 setEnabled(bool on)
@@ -127,8 +129,7 @@ buf()
 
 /**
  * Host steady-clock nanoseconds: the one host clock. The stage
- * profiler, the thread pool's busy/idle accounting, and every span
- * stamp with it.
+ * profiler and every span stamp with it.
  */
 inline std::uint64_t
 nowNs()

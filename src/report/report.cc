@@ -172,47 +172,6 @@ histogramsToJson(const obs::HistogramRegistry &hists)
     return json;
 }
 
-Json
-hostMetricsToJson(const obs::metrics::Snapshot &snap)
-{
-    namespace m = obs::metrics;
-    Json json = Json::object();
-
-    Json counters = Json::object();
-    for (std::size_t i = 0; i < m::kNumCounters; ++i)
-        counters.set(m::counterName(static_cast<m::Counter>(i)),
-                     snap.counters[i]);
-    json.set("counters", std::move(counters));
-
-    Json gauges = Json::object();
-    for (std::size_t i = 0; i < m::kNumGauges; ++i) {
-        const auto gauge = static_cast<m::Gauge>(i);
-        Json entry = Json::object();
-        // Gauges are signed (add/sub deltas) but every catalogued gauge
-        // tracks a resource quantity, so negatives only arise from an
-        // accounting bug; clamp rather than emit a negative byte count.
-        entry.set("value", static_cast<std::uint64_t>(
-                               std::max<std::int64_t>(0, snap.gaugeValue[i])));
-        entry.set("peak", static_cast<std::uint64_t>(
-                              std::max<std::int64_t>(0, snap.gaugePeak[i])));
-        gauges.set(m::gaugeName(gauge), std::move(entry));
-    }
-    json.set("gauges", std::move(gauges));
-
-    Json workers = Json::array();
-    for (std::size_t w = 0; w < snap.workersUsed; ++w) {
-        Json entry = Json::object();
-        entry.set("worker", static_cast<std::uint64_t>(w));
-        for (std::size_t c = 0; c < m::kNumWorkerCounters; ++c) {
-            entry.set(m::workerCounterName(static_cast<m::WorkerCounter>(c)),
-                      snap.workers[w][c]);
-        }
-        workers.push(std::move(entry));
-    }
-    json.set("workers", std::move(workers));
-    return json;
-}
-
 namespace {
 
 /** Sum the simulated phases of one layer into a single counter set. */
@@ -346,13 +305,6 @@ RunReport::setEstimate(Json estimate)
     hasEstimate_ = true;
 }
 
-void
-RunReport::setHostMetrics(const obs::metrics::Snapshot &snap)
-{
-    hostMetrics_ = hostMetricsToJson(snap);
-    hasHostMetrics_ = true;
-}
-
 Json
 RunReport::toJson(bool include_profile) const
 {
@@ -416,11 +368,12 @@ RunReport::toJson(bool include_profile) const
     if (hasEstimate_)
         json.set("estimate", estimate_);
 
-    if (hasHostMetrics_)
-        json.set("host_metrics", hostMetrics_);
-
-    if (include_profile)
-        json.set("profile", profileToJson());
+    if (include_profile) {
+        Json profile = profileToJson();
+        if (peakRssKb_)
+            profile.set("peak_rss_kb", *peakRssKb_);
+        json.set("profile", std::move(profile));
+    }
     return json;
 }
 

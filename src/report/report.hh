@@ -22,20 +22,20 @@
  * deterministic parallel engine, DESIGN.md). Wall-clock stage timings
  * from the profiler (profiler.hh) are the one exception, so they are
  * confined to a "profile" section that toJson can exclude -- the
- * golden-JSON regression tests serialize without it. The other
- * wall-clock section, host_metrics (obs/metrics.hh), appears only in
- * runs with host observability on (--host-trace-out).
+ * golden-JSON regression tests serialize without it, and the same
+ * section carries the process's peak resident set (peak_rss_kb) when
+ * the bench harness supplies it.
  */
 
 #ifndef ANTSIM_REPORT_REPORT_HH
 #define ANTSIM_REPORT_REPORT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/histogram.hh"
-#include "obs/metrics.hh"
 #include "report/json.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
@@ -128,17 +128,6 @@ StallBreakdown stallBreakdown(const CounterSet &counters);
 /** Serialize a histogram registry (bins, count, sum, min, max). */
 Json histogramsToJson(const obs::HistogramRegistry &hists);
 
-/**
- * Serialize a host-metrics snapshot (obs/metrics.hh) as the report's
- * host_metrics section: counters, gauges with peaks, and per-worker
- * pool accounting. Stage wall time is the profile section's, and unit
- * wall time is in the host trace's unit spans. Everything here is
- * host-side accounting -- like the profile section it is never
- * byte-stable across runs, which is why RunReport only embeds it when
- * host observability (--host-trace-out) was explicitly enabled.
- */
-Json hostMetricsToJson(const obs::metrics::Snapshot &snap);
-
 /** One run's structured report. */
 class RunReport
 {
@@ -182,13 +171,12 @@ class RunReport
     void setEstimate(Json estimate);
 
     /**
-     * Attach the host-metrics snapshot (metered runs only -- benches
-     * call this from finish() when --host-trace-out enabled host
-     * observability). Omitted when never set, so reports with host
-     * observability off are byte-identical to reports from builds
-     * that never heard of metrics.
+     * Record the process's peak resident set in KiB as
+     * profile.peak_rss_kb (benches call this from finish()). Omitted
+     * when never set; like the stage timings it is a host fact, so it
+     * lives only in the profile section.
      */
-    void setHostMetrics(const obs::metrics::Snapshot &snap);
+    void setPeakRssKb(std::uint64_t kb) { peakRssKb_ = kb; }
 
     /** Record a printed table under @p name. */
     void addTable(const std::string &name, const Table &table);
@@ -234,8 +222,7 @@ class RunReport
     bool hasHistograms_ = false;
     Json estimate_ = Json::object();
     bool hasEstimate_ = false;
-    Json hostMetrics_ = Json::object();
-    bool hasHostMetrics_ = false;
+    std::optional<std::uint64_t> peakRssKb_;
 };
 
 } // namespace antsim

@@ -27,10 +27,6 @@
 #include <new>
 #include <type_traits>
 
-// Allocation accounting (counts, high-water bytes). Header-inline
-// producer API only: one thread-local pointer branch when metrics are
-// off, no ant_obs link dependency.
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace antsim {
@@ -101,9 +97,6 @@ class Arena
         if (capacity_ > 0) {
             slab_ = static_cast<std::byte *>(::operator new(
                 capacity_, std::align_val_t{kAlignment}));
-            obs::metrics::count(obs::metrics::Counter::ArenaSlabs);
-            obs::metrics::count(obs::metrics::Counter::ArenaSlabBytes,
-                                capacity_);
         }
     }
 
@@ -129,14 +122,6 @@ class Arena
         if (count > 0)
             std::memset(slab_ + offset, 0, count * sizeof(T));
         used_ += bytes;
-        if (obs::metrics::shard() != nullptr) {
-            obs::metrics::count(obs::metrics::Counter::ArenaAllocs);
-            obs::metrics::count(obs::metrics::Counter::ArenaAllocBytes,
-                                bytes);
-            obs::metrics::gaugeMax(
-                obs::metrics::Gauge::ArenaHighWaterBytes,
-                static_cast<std::int64_t>(used_));
-        }
         return offset;
     }
 
@@ -234,15 +219,6 @@ class AlignedVec
             ::operator delete(data_, std::align_val_t{Arena::kAlignment});
         data_ = grown;
         capacity_ = want;
-        if (obs::metrics::shard() != nullptr) {
-            const std::size_t bytes = Arena::aligned(want * sizeof(T));
-            obs::metrics::count(obs::metrics::Counter::AlignedVecGrows);
-            obs::metrics::count(
-                obs::metrics::Counter::AlignedVecGrowBytes, bytes);
-            obs::metrics::gaugeMax(
-                obs::metrics::Gauge::AlignedVecHighWaterBytes,
-                static_cast<std::int64_t>(bytes));
-        }
     }
 
     /** Resize without initializing new elements beyond size(). */

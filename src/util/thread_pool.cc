@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-// Header-inline producer APIs only: ant_util cannot link ant_obs
-// (ant_obs links ant_util), and all recording below compiles to a
-// thread-local pointer branch when observability is off.
+// Header-inline producer API only: ant_util cannot link ant_obs
+// (ant_obs links ant_util).
 #include "obs/host_trace.hh"
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace antsim {
@@ -46,20 +44,6 @@ class WorkerScope
     std::uint32_t prev_id_;
 };
 
-/** Per-worker accounting of one executed block (metered runs only). */
-void
-recordBlock(std::uint32_t worker_id, std::uint64_t busy_start,
-            std::uint64_t items)
-{
-    obs::metrics::workerCount(worker_id,
-                              obs::metrics::WorkerCounter::BusyNs,
-                              obs::host::nowNs() - busy_start);
-    obs::metrics::workerCount(worker_id,
-                              obs::metrics::WorkerCounter::Chunks, 1);
-    obs::metrics::workerCount(worker_id,
-                              obs::metrics::WorkerCounter::Items, items);
-}
-
 } // namespace
 
 std::uint32_t
@@ -94,10 +78,6 @@ void
 ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
 {
     const WorkerScope scope(this, worker_id);
-    // Busy/chunk/item accounting per claimed block. The shard pointer
-    // is resolved once: attachment happens at thread entry points, not
-    // mid-job.
-    obs::metrics::MetricShard *const metered = obs::metrics::shard();
     const std::uint64_t total = job.end - job.begin;
     for (;;) {
         const std::uint64_t start =
@@ -105,8 +85,6 @@ ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
         if (start >= job.end)
             break;
         const std::uint64_t stop = std::min(start + job.grain, job.end);
-        const std::uint64_t busy_start =
-            metered != nullptr ? obs::host::nowNs() : 0;
         // Once a worker failed, later blocks are claimed and retired
         // without running so `completed` still reaches `total` and the
         // caller wakes up to rethrow.
@@ -123,8 +101,6 @@ ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
                 job.failed.store(true, std::memory_order_release);
             }
         }
-        if (metered != nullptr)
-            recordBlock(worker_id, busy_start, stop - start);
         const std::uint64_t done =
             job.completed.fetch_add(stop - start,
                                     std::memory_order_acq_rel) +
@@ -143,24 +119,15 @@ ThreadPool::workerLoop(std::uint32_t worker_id)
 {
     std::uint64_t seen_generation = 0;
     for (;;) {
-        // Attach lazily every round: observability can be switched on
+        // Attach lazily every round: host tracing can be switched on
         // after the pool (and its workers) already exist.
-        obs::metrics::threadAttach();
         obs::host::threadAttach("worker " + std::to_string(worker_id));
         Job *job = nullptr;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            const std::uint64_t idle_start =
-                obs::metrics::shard() != nullptr ? obs::host::nowNs()
-                                                 : 0;
             wake_.wait(lock, [&] {
                 return shutdown_ || generation_ != seen_generation;
             });
-            if (obs::metrics::shard() != nullptr) {
-                obs::metrics::workerCount(
-                    worker_id, obs::metrics::WorkerCounter::IdleNs,
-                    obs::host::nowNs() - idle_start);
-            }
             if (shutdown_)
                 return;
             seen_generation = generation_;
@@ -195,30 +162,11 @@ ThreadPool::parallelFor(std::uint64_t begin, std::uint64_t end,
         return;
     }
 
-    // Top-level job accounting (nested calls above are part of the
-    // outer job). The caller attaches here so single-threaded pools
-    // and test harnesses record without a bench entry point.
-    obs::metrics::threadAttach();
-    const bool metered = obs::metrics::shard() != nullptr;
-    if (metered) {
-        obs::metrics::count(obs::metrics::Counter::PoolParallelFors);
-        obs::metrics::count(obs::metrics::Counter::PoolItems,
-                            end - begin);
-        obs::metrics::gaugeMax(
-            obs::metrics::Gauge::PoolMaxJobItems,
-            static_cast<std::int64_t>(end - begin));
-        obs::metrics::gaugeMax(obs::metrics::Gauge::PoolWorkers,
-                               thread_count_);
-    }
-
     if (thread_count_ == 1) {
         // The whole job is one block on worker 0.
         const WorkerScope scope(this, 0);
-        const std::uint64_t busy_start = metered ? obs::host::nowNs() : 0;
         for (std::uint64_t i = begin; i < end; ++i)
             fn(i, 0);
-        if (metered)
-            recordBlock(0, busy_start, end - begin);
         return;
     }
 

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "obs/host_trace.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "report/profiler.hh"
 #include "sim/chunking.hh"
@@ -41,39 +41,54 @@ recordRcpHist(obs::UnitRecorder &rec, const CounterSet &c)
     }
 }
 
-/** Run one generated plane pair through the PE, chunked to capacity. */
+/**
+ * The chunk loop every unit shares. Under the PlanBuild timer the image
+ * -- and, for a matmul pair, the kernel (@p kernel non-null) -- is
+ * split to the sparse buffer capacity; then every kernel-chunk x
+ * image-chunk task, kernel-major (allChunkPairs' order), runs through
+ * @p run(kernel_chunk, image_chunk) under PeSim and the recorder's task
+ * hooks. A conv stack passes no kernel: each stationary image chunk
+ * reloads the PE (its own start-up) and re-streams the whole stack.
+ */
+template <typename RunTask>
 CounterSet
-runPlanePair(PeModel &pe, const PlanePair &pair, std::uint32_t capacity)
+runChunkTasks(const PeModel &pe, const CsrMatrix *kernel,
+              const CsrMatrix &image, std::uint32_t capacity,
+              const RunTask &run)
 {
-    CounterSet total;
     // Dense-tiled baselines must not have their MAC stream split by
     // the sparse buffer capacity.
     if (!pe.usesCompressedOperands())
         capacity = std::numeric_limits<std::uint32_t>::max();
-    std::vector<ChunkPair> tasks;
     std::vector<CsrMatrix> kernel_chunks;
     std::vector<CsrMatrix> image_chunks;
     {
         const ScopedTimer timer(Stage::PlanBuild);
-        kernel_chunks = chunkByCapacity(pair.kernel, capacity);
-        image_chunks = chunkByCapacity(pair.image, capacity);
-        tasks = allChunkPairs(kernel_chunks, image_chunks);
+        if (kernel != nullptr)
+            kernel_chunks = chunkByCapacity(*kernel, capacity);
+        image_chunks = chunkByCapacity(image, capacity);
     }
     obs::UnitRecorder *rec = obs::recorder();
     if (rec)
-        recordImageRowHist(*rec, pair.image);
+        recordImageRowHist(*rec, image);
+    CounterSet total;
     const ScopedTimer timer(Stage::PeSim);
-    for (const auto &task : tasks) {
-        if (rec)
-            rec->beginTask();
-        const PeResult r = pe.runPair(pair.spec, *task.kernel, *task.image,
-                                      /*collect_output=*/false);
-        if (rec) {
-            rec->endTask();
-            recordRcpHist(*rec, r.counters);
+    const std::size_t kernel_count =
+        kernel != nullptr ? kernel_chunks.size() : 1;
+    for (std::size_t k = 0; k < kernel_count; ++k) {
+        for (const CsrMatrix &image_chunk : image_chunks) {
+            if (rec)
+                rec->beginTask();
+            const PeResult r = run(
+                kernel != nullptr ? &kernel_chunks[k] : nullptr,
+                image_chunk);
+            if (rec) {
+                rec->endTask();
+                recordRcpHist(*rec, r.counters);
+            }
+            total += r.counters;
+            total.add(Counter::TasksProcessed);
         }
-        total += r.counters;
-        total.add(Counter::TasksProcessed);
     }
     return total;
 }
@@ -104,6 +119,95 @@ class WorkerPes
     std::vector<std::unique_ptr<PeModel>> clones_;
 };
 
+/**
+ * The scaffolding both network runners share. Constructing one
+ * validates the config, opens the run in the simulated-time trace and
+ * the host "run" span (which stays open until the runner returns, so
+ * the reduction nests inside it); simulate() runs the units.
+ */
+class NetworkRun
+{
+  public:
+    NetworkRun(const RunConfig &config, const char *default_label,
+               std::size_t unit_count)
+        : config_(config),
+          label_(config.runLabel.empty() ? default_label
+                                         : config.runLabel),
+          unit_count_(unit_count)
+    {
+        config.validate();
+        if (sink_ != nullptr)
+            trace_run_ = sink_->beginRun(label_, unit_count);
+        span_.emplace("run", label_);
+    }
+
+    /**
+     * Simulate units [0, unit_count) on worker-private PE replicas,
+     * each under its simulated-time unit trace and host "unit" span,
+     * and return every unit's counters in the slot keyed by its index,
+     * so nothing downstream depends on scheduling. @p label(i) names
+     * unit i in both traces and the heartbeat; @p run_unit(pe, i)
+     * simulates it on @p pe.
+     */
+    template <typename Label, typename RunUnit>
+    std::vector<CounterSet>
+    simulate(PeModel &pe, const Label &label, const RunUnit &run_unit) const
+    {
+        // Progress heartbeat: ~8 info-level lines per run, counted
+        // with a relaxed atomic so it never perturbs simulation
+        // results.
+        const std::uint64_t heartbeat_step =
+            std::max<std::uint64_t>(1, unit_count_ / 8);
+        std::atomic<std::uint64_t> units_done{0};
+
+        std::vector<CounterSet> unit_counters(unit_count_);
+        ThreadPool pool(effectiveWorkerCount(config_.numThreads));
+        const WorkerPes worker_pes(pe, pool.threadCount());
+        pool.parallelFor(
+            0, unit_count_, /*grain=*/1,
+            // antsim-lint: allow(parallel-capture-discipline) -- per-slot
+            // discipline: each task writes only unit_counters[i] (its
+            // own unit-indexed slot) plus relaxed atomics; all other
+            // captures are read-only, and each worker simulates on its
+            // private worker_pes[worker] clone
+            // (parallel_determinism_test).
+            [&](std::uint64_t i, std::uint32_t worker) {
+                // The label feeds both traces; host unit spans carry
+                // {run, unit} args to cross-link with the
+                // simulated-time trace's unit events.
+                const bool host_on = obs::host::buf() != nullptr;
+                std::string name;
+                if (sink_ != nullptr || host_on)
+                    name = label(i);
+                const obs::ScopedUnitTrace trace(
+                    sink_, trace_run_, i,
+                    sink_ ? name : std::string());
+                const obs::host::ScopedSpan host_span(
+                    "unit", host_on ? name : std::string(),
+                    host_on ? "{\"run\":\"" + label_ + "\",\"unit\":" +
+                            std::to_string(i) + "}"
+                            : std::string());
+                unit_counters[i] = run_unit(worker_pes[worker], i);
+                const std::uint64_t done =
+                    units_done.fetch_add(1, std::memory_order_relaxed) + 1;
+                if (logLevel() >= LogLevel::Info &&
+                    (done % heartbeat_step == 0 || done == unit_count_)) {
+                    ANT_INFORM(label_, ": ", done, "/", unit_count_,
+                               " units simulated (last: ", label(i), ")");
+                }
+            });
+        return unit_counters;
+    }
+
+  private:
+    const RunConfig &config_;
+    const std::string label_;
+    const std::size_t unit_count_;
+    obs::TraceSink *const sink_ = obs::traceSink();
+    std::size_t trace_run_ = 0;
+    std::optional<obs::host::ScopedSpan> span_;
+};
+
 /** One simulated (layer, phase, sample) unit of a conv network run. */
 struct ConvUnit
 {
@@ -123,7 +227,6 @@ runConvUnit(PeModel &pe, const ConvLayer &layer,
             const SparsityProfile &profile, const RunConfig &config,
             const ConvUnit &unit)
 {
-    CounterSet counters;
     const auto phase = static_cast<TrainingPhase>(unit.phase);
     Rng rng(mixSeed(config.seed, unit.layer, unit.phase, unit.taskIndex));
     const StackTask task = [&] {
@@ -131,35 +234,13 @@ runConvUnit(PeModel &pe, const ConvLayer &layer,
         return makeConvPhaseTask(layer, phase, profile, rng);
     }();
     const auto kernel_ptrs = task.kernelPtrs();
-
-    // Image chunking: the stationary image must fit the 8 KB buffer;
-    // each image chunk reloads the PE (its own start-up) and
-    // re-streams the kernel stack.
-    std::uint32_t capacity = config.chunkCapacity;
-    if (!pe.usesCompressedOperands())
-        capacity = std::numeric_limits<std::uint32_t>::max();
-    std::vector<CsrMatrix> image_chunks;
-    {
-        const ScopedTimer timer(Stage::PlanBuild);
-        image_chunks = chunkByCapacity(*task.image, capacity);
-    }
-    obs::UnitRecorder *rec = obs::recorder();
-    if (rec)
-        recordImageRowHist(*rec, *task.image);
-    const ScopedTimer timer(Stage::PeSim);
-    for (const CsrMatrix &image_chunk : image_chunks) {
-        if (rec)
-            rec->beginTask();
-        const PeResult r = pe.runStack(task.spec, kernel_ptrs, image_chunk,
-                                       /*collect_output=*/false);
-        if (rec) {
-            rec->endTask();
-            recordRcpHist(*rec, r.counters);
-        }
-        counters += r.counters;
-        counters.add(Counter::TasksProcessed);
-    }
-    return counters;
+    // Image chunking: the stationary image must fit the 8 KB buffer.
+    return runChunkTasks(
+        pe, /*kernel=*/nullptr, *task.image, config.chunkCapacity,
+        [&](const CsrMatrix *, const CsrMatrix &image_chunk) {
+            return pe.runStack(task.spec, kernel_ptrs, image_chunk,
+                               /*collect_output=*/false);
+        });
 }
 
 } // namespace
@@ -218,7 +299,6 @@ NetworkStats
 runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
                const SparsityProfile &profile, const RunConfig &config)
 {
-    config.validate();
     NetworkStats stats;
 
     // Flatten the simulated units so the pool can schedule them freely;
@@ -248,66 +328,17 @@ runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
         stats.layers.push_back(std::move(layer_stats));
     }
 
-    // Simulate every unit on a worker-private PE replica. Each unit's
-    // counters land in the slot keyed by its task index, so nothing
-    // downstream depends on scheduling.
-    obs::TraceSink *const sink = obs::traceSink();
-    const std::string run_label =
-        config.runLabel.empty() ? "conv_network" : config.runLabel;
-    std::size_t trace_run = 0;
-    if (sink)
-        trace_run = sink->beginRun(run_label, units.size());
-    obs::metrics::threadAttach();
-    obs::metrics::count(obs::metrics::Counter::RunnerRuns);
-    const obs::host::ScopedSpan host_run_span("run", run_label);
-
-    // Progress heartbeat: ~8 info-level lines per run, counted with a
-    // relaxed atomic so it never perturbs simulation results.
-    const std::uint64_t heartbeat_step =
-        std::max<std::uint64_t>(1, units.size() / 8);
-    std::atomic<std::uint64_t> units_done{0};
-
-    std::vector<CounterSet> unit_counters(units.size());
-    ThreadPool pool(effectiveWorkerCount(config.numThreads));
-    const WorkerPes worker_pes(pe, pool.threadCount());
-    pool.parallelFor(
-        0, units.size(), /*grain=*/1,
-        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
-        // discipline: each task writes only unit_counters[i] (its own
-        // task-indexed slot) plus relaxed atomics; all other captures
-        // are read-only, and each worker simulates on its private
-        // worker_pes[worker] clone (parallel_determinism_test).
-        [&](std::uint64_t i, std::uint32_t worker) {
-            const ConvUnit &unit = units[i];
-            const ConvLayer &layer = layers[unit.layer];
-            // The label feeds both traces; host unit spans carry
-            // {run, unit} args to cross-link with the simulated-time
-            // trace's unit events.
-            const bool host_on = obs::host::buf() != nullptr;
-            std::string label;
-            if (sink != nullptr || host_on) {
-                label = layer.name + "/" + kPhaseNames[unit.phase] +
-                    "#" + std::to_string(unit.taskIndex);
-            }
-            const obs::ScopedUnitTrace trace(
-                sink, trace_run, i, sink ? label : std::string());
-            const obs::host::ScopedSpan host_span(
-                "unit", host_on ? label : std::string(),
-                host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
-                        std::to_string(i) + "}"
-                        : std::string());
-            unit_counters[i] =
-                runConvUnit(worker_pes[worker], layer, profile, config,
-                            unit);
-            obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-            const std::uint64_t done =
-                units_done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (logLevel() >= LogLevel::Info &&
-                (done % heartbeat_step == 0 || done == units.size())) {
-                ANT_INFORM(run_label, ": ", done, "/", units.size(),
-                           " units simulated (last: ", layer.name, "/",
-                           kPhaseNames[unit.phase], ")");
-            }
+    const NetworkRun run(config, "conv_network", units.size());
+    const std::vector<CounterSet> unit_counters = run.simulate(
+        pe,
+        [&](std::uint64_t i) {
+            return layers[units[i].layer].name + "/" +
+                kPhaseNames[units[i].phase] + "#" +
+                std::to_string(units[i].taskIndex);
+        },
+        [&](PeModel &worker_pe, std::uint64_t i) {
+            return runConvUnit(worker_pe, layers[units[i].layer], profile,
+                               config, units[i]);
         });
 
     // Ordered reduction: fold the per-unit counters back into the
@@ -345,58 +376,22 @@ runMatmulNetwork(PeModel &pe, const std::vector<MatmulLayer> &layers,
                  double sparsity, SparsifyMethod method,
                  const RunConfig &config)
 {
-    config.validate();
     NetworkStats stats;
-
-    obs::TraceSink *const sink = obs::traceSink();
-    const std::string run_label =
-        config.runLabel.empty() ? "matmul_network" : config.runLabel;
-    std::size_t trace_run = 0;
-    if (sink)
-        trace_run = sink->beginRun(run_label, layers.size());
-    obs::metrics::threadAttach();
-    obs::metrics::count(obs::metrics::Counter::RunnerRuns);
-    const obs::host::ScopedSpan host_run_span("run", run_label);
-    const std::uint64_t heartbeat_step =
-        std::max<std::uint64_t>(1, layers.size() / 8);
-    std::atomic<std::uint64_t> layers_done{0};
-
-    std::vector<CounterSet> layer_counters(layers.size());
-    ThreadPool pool(effectiveWorkerCount(config.numThreads));
-    const WorkerPes worker_pes(pe, pool.threadCount());
-    pool.parallelFor(
-        0, layers.size(), /*grain=*/1,
-        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
-        // discipline: each task writes only layer_counters[li] (its
-        // own layer-indexed slot) plus relaxed atomics; other captures
-        // are read-only, and each worker simulates on its private
-        // worker_pes[worker] clone (parallel_determinism_test).
-        [&](std::uint64_t li, std::uint32_t worker) {
-            const bool host_on = obs::host::buf() != nullptr;
-            const obs::ScopedUnitTrace trace(
-                sink, trace_run, li,
-                sink ? layers[li].name : std::string());
-            const obs::host::ScopedSpan host_span(
-                "unit", host_on ? layers[li].name : std::string(),
-                host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
-                        std::to_string(li) + "}"
-                        : std::string());
+    const NetworkRun run(config, "matmul_network", layers.size());
+    const std::vector<CounterSet> layer_counters = run.simulate(
+        pe, [&](std::uint64_t li) { return layers[li].name; },
+        [&](PeModel &worker_pe, std::uint64_t li) {
             Rng rng(mixSeed(config.seed, li, 0, 0));
             const PlanePair pair = [&] {
                 const ScopedTimer timer(Stage::TraceGen);
                 return makeMatmulPair(layers[li], sparsity, method, rng);
             }();
-            layer_counters[li] = runPlanePair(worker_pes[worker], pair,
-                                              config.chunkCapacity);
-            obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-            const std::uint64_t done =
-                layers_done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (logLevel() >= LogLevel::Info &&
-                (done % heartbeat_step == 0 || done == layers.size())) {
-                ANT_INFORM(run_label, ": ", done, "/", layers.size(),
-                           " layers simulated (last: ", layers[li].name,
-                           ")");
-            }
+            return runChunkTasks(
+                worker_pe, &pair.kernel, pair.image, config.chunkCapacity,
+                [&](const CsrMatrix *kernel, const CsrMatrix &image) {
+                    return worker_pe.runPair(pair.spec, *kernel, image,
+                                             /*collect_output=*/false);
+                });
         });
 
     const ScopedTimer reduce_timer(Stage::Reduce);

@@ -10,10 +10,9 @@
  * supplied one.
  *
  * The same observe-don't-perturb law covers host observability -- the
- * host tracer and the metrics registry (src/obs/host_trace.hh,
- * metrics.hh), which share one switch: with it off no thread-local
- * shard or buffer is ever installed, and turning it on leaves
- * NetworkStats, the deterministic report JSON, and the simulated-time
+ * host span tracer (src/obs/host_trace.hh): with it off no thread-local
+ * span buffer is ever installed, and turning it on leaves NetworkStats,
+ * the report JSON outside its profile section, and the simulated-time
  * trace bytes identical -- host observability reads wall-clock but
  * never writes simulation state. Stage time has one source: the host
  * trace's stage spans are exactly the profiler's timed regions.
@@ -28,7 +27,6 @@
 #include "ant/ant_pe.hh"
 #include "baselines/inner_product.hh"
 #include "obs/host_trace.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "report/json.hh"
 #include "report/profiler.hh"
@@ -174,8 +172,8 @@ reportBytes(const NetworkStats &stats)
 
 // Declaration order matters: this test must run before anything in
 // this binary enables host observability, so it can observe that
-// plain runs never install the thread-local shard or span buffer.
-TEST(ObsOverhead, MetricsOffInstallsNothing)
+// plain runs never install the thread-local span buffer.
+TEST(ObsOverhead, HostObservabilityOffInstallsNothing)
 {
     EXPECT_FALSE(obs::host::enabled());
     RunConfig config;
@@ -183,11 +181,10 @@ TEST(ObsOverhead, MetricsOffInstallsNothing)
     config.numThreads = 2;
     ScnnPe pe;
     runConvNetwork(pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
-    EXPECT_EQ(obs::metrics::shard(), nullptr);
     EXPECT_EQ(obs::host::buf(), nullptr);
 }
 
-TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
+TEST(ObsOverhead, HostTraceDoesNotPerturbStatsReportOrSimTrace)
 {
     RunConfig config;
     config.sampleCap = 2;
@@ -195,7 +192,7 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     config.runLabel = "tiny/ant";
 
     // Baseline: simulated-time tracing on (so there are sim-trace
-    // bytes to compare), host metrics and host tracing off.
+    // bytes to compare), host tracing off.
     AntPe pe;
     obs::setEnabled(true);
     obs::globalSink().clear();
@@ -204,11 +201,9 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     const std::string plain_trace = obs::globalSink().toChromeJson(64);
     obs::globalSink().clear();
 
-    // Metered: identical configuration with host observability on, so
-    // the host span tracer and the metrics registry both collect.
+    // Metered: identical configuration with the host span tracer on.
     obs::host::setEnabled(true);
     obs::host::threadAttach("main");
-    obs::metrics::threadAttach();
     const auto metered = runConvNetwork(
         pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
     const std::string metered_trace = obs::globalSink().toChromeJson(64);
@@ -217,15 +212,12 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     obs::host::setEnabled(false);
 
     // Host observability recorded something...
-    const obs::metrics::Snapshot snap = obs::metrics::snapshot();
-    EXPECT_GT(snap.counters[static_cast<std::size_t>(
-                  obs::metrics::Counter::RunnerUnits)],
-              0u);
+    ASSERT_NE(obs::host::buf(), nullptr);
+    EXPECT_FALSE(obs::host::buf()->spans.empty());
     // ...without perturbing stats, report bytes, or sim-trace bytes.
     expectIdenticalStats(plain, metered, "metered/ant");
     EXPECT_EQ(reportBytes(plain), reportBytes(metered));
     EXPECT_EQ(plain_trace, metered_trace);
-    obs::metrics::reset();
     obs::host::clear();
 }
 
@@ -236,15 +228,16 @@ TEST(ObsOverhead, HostStageSpansMatchProfilerAndReportHasNoCopies)
     config.numThreads = 2;
     config.runLabel = "ResNet18/ant";
 
+    AntPe pe;
+    const auto plain = runConvNetwork(pe, resnet18Cifar(),
+                                      SparsityProfile::swat(0.9), config);
+
     profiler::reset();
     obs::host::clear();
-    obs::metrics::reset();
     obs::host::setEnabled(true);
     obs::host::threadAttach("main");
-    obs::metrics::threadAttach();
-    AntPe pe;
-    runConvNetwork(pe, resnet18Cifar(), SparsityProfile::swat(0.9),
-                   config);
+    const auto metered = runConvNetwork(pe, resnet18Cifar(),
+                                        SparsityProfile::swat(0.9), config);
     obs::host::setEnabled(false);
 
     // Every ScopedTimer region is one host "stage" span named after its
@@ -267,34 +260,15 @@ TEST(ObsOverhead, HostStageSpansMatchProfilerAndReportHasNoCopies)
         EXPECT_EQ(spans, profiler::callCount(stage)) << stageName(stage);
     }
 
-    // host_metrics carries only what no other section has: no stage
-    // totals (profile.stages) and no unit-time histogram (unit spans).
-    RunReport report;
-    report.setHostMetrics(obs::metrics::snapshot());
-    const Json doc = report.toJson(false);
-    const Json &host_metrics = doc.at("host_metrics");
-    EXPECT_NE(host_metrics.find("counters"), nullptr);
-    EXPECT_NE(host_metrics.find("gauges"), nullptr);
-    EXPECT_NE(host_metrics.find("workers"), nullptr);
-    EXPECT_EQ(host_metrics.find("stages"), nullptr);
-    EXPECT_EQ(host_metrics.find("histograms"), nullptr);
-    EXPECT_GT(host_metrics.at("counters").at("runner_units").asUint(), 0u);
+    // The report carries no copy of the host trace: outside profile the
+    // metered run's document is the plain run's, byte for byte, and
+    // has no host section.
+    const std::string metered_bytes = reportBytes(metered);
+    EXPECT_EQ(reportBytes(plain), metered_bytes);
+    EXPECT_EQ(metered_bytes.find("host_"), std::string::npos);
 
     profiler::reset();
     obs::host::clear();
-    obs::metrics::reset();
-}
-
-TEST(ObsOverhead, ReportOmitsHostMetricsUnlessProvided)
-{
-    RunReport plain;
-    const std::string without = plain.toJson(false).dump();
-    EXPECT_EQ(without.find("host_metrics"), std::string::npos);
-
-    RunReport with;
-    with.setHostMetrics(obs::metrics::Snapshot{});
-    EXPECT_NE(with.toJson(false).dump().find("host_metrics"),
-              std::string::npos);
 }
 
 } // namespace

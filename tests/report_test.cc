@@ -210,6 +210,13 @@ TEST(Report, RunReportDocumentShape)
     EXPECT_NE(doc.find("profile"), nullptr);
     EXPECT_EQ(report.toJson(/*include_profile=*/false).find("profile"),
               nullptr);
+    // Peak RSS rides the profile section only, and only once recorded.
+    EXPECT_EQ(doc.at("profile").find("peak_rss_kb"), nullptr);
+    const std::string body = report.toJson(false).dump();
+    report.setPeakRssKb(12345);
+    EXPECT_EQ(report.toJson().at("profile").at("peak_rss_kb").asUint(),
+              12345u);
+    EXPECT_EQ(report.toJson(false).dump(), body);
 
     // The CSV mirror carries the table rows.
     const std::string csv = report.toCsv();
