@@ -10,26 +10,23 @@ deterministic for a fixed configuration at every thread count.
 
 --host switches to the host-execution trace written by
 --host-trace-out / ANTSIM_HOST_TRACE (src/obs/host_trace.cc):
-wall-clock run/stage/unit spans per host thread. The summary prints
-a per-worker utilization table (top-level span time over the observed
-makespan; every run builds a fresh pool whose threads register their
-own lanes, so lanes sharing a thread_name -- "worker 1" of each run --
-are folded into one row by summing busy time, makespan and spans),
-the unit-span count with the p50, p99 and max unit
-wall time in microseconds (nearest-rank percentiles), and the --top
-spans by *self* time (duration minus the durations of spans nested
-inside it on the same thread -- the time the span itself was on the
-CPU). With --check it verifies the host contract instead of the
-simulated-time one:
+wall-clock run/stage/unit spans per host lane, one lane per thread
+role ("main", "worker N"). The summary prints one utilization row per
+lane (top-level span time over the lane's observed makespan, which
+spans every run the trace covers), the unit-span count with the p50,
+p99 and max unit wall time in microseconds (nearest-rank
+percentiles), and the --top spans by *self* time (duration minus the
+durations of spans nested inside it on the same lane -- the time the
+span itself was on the CPU). With --check it verifies the host
+contract instead of the simulated-time one:
   - every event carries name/ph/pid/ts, ph is one of M/X/i, and
     durations are non-negative integers;
   - span cats are exactly run/stage/unit;
-  - spans on one thread (tid, before folding) nest properly: sorted
-    by (ts, -dur), every
-    span either fits entirely inside the enclosing open span or starts
-    at/after its end (the floor-both-endpoints microsecond rounding in
-    host_trace.cc preserves this by construction);
-  - every thread with spans has a thread_name metadata record.
+  - spans on one lane (tid) nest properly: sorted by (ts, -dur),
+    every span either fits entirely inside the enclosing open span or
+    starts at/after its end (the floor-both-endpoints microsecond
+    rounding in host_trace.cc preserves this by construction);
+  - every lane with spans has a thread_name metadata record.
 
 Default output is a per-PE-lane table -- active / startup / idle-scan
 cycles, utilization over the lane's makespan, span and task counts --
@@ -176,7 +173,7 @@ def host_main(path, events, check, top):
         thread_spans[tid].append(
             (event["ts"], event["dur"], event["name"], cat))
 
-    rows = {}        # thread_name -> [top_level_us, makespan_us, spans]
+    rows = []        # (tid, top_level_us, makespan_us, spans)
     all_spans = []   # (self, dur, ts, tid, name, cat)
     for tid in sorted(thread_spans):
         spans = thread_spans[tid]
@@ -200,11 +197,7 @@ def host_main(path, events, check, top):
             if ts >= cursor:
                 top_level += dur
                 cursor = ts + dur
-        row = rows.setdefault(
-            thread_names.get(tid, "tid {}".format(tid)), [0, 0, 0])
-        row[0] += top_level
-        row[1] += hi - lo
-        row[2] += len(spans)
+        rows.append((tid, top_level, hi - lo, len(spans)))
 
     if errors:
         print("trace_summary: {} FAILS ({} violations):".format(
@@ -221,10 +214,11 @@ def host_main(path, events, check, top):
                                    len(thread_spans)))
     print("{:<12} {:>14} {:>14} {:>7} {:>8}".format(
         "thread", "busy (us)", "makespan (us)", "util%", "spans"))
-    for name, (top_level, makespan, count) in rows.items():
+    for tid, top_level, makespan, count in rows:
         pct = (100.0 * top_level / makespan) if makespan else 0.0
         print("{:<12} {:>14} {:>14} {:>6.1f}% {:>8}".format(
-            name, top_level, makespan, pct, count))
+            thread_names.get(tid, "tid {}".format(tid)), top_level,
+            makespan, pct, count))
 
     unit_us = sorted(dur for spans in thread_spans.values()
                      for _ts, dur, _name, cat in spans if cat == "unit")

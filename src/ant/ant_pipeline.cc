@@ -9,7 +9,6 @@
 #include "report/profiler.hh"
 #include "sim/clock.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 #include "verify/audit_hooks.hh"
 
 namespace antsim {
@@ -205,8 +204,7 @@ AntPipelineModel::AntPipelineModel(const AntPeConfig &config)
 
 PipelineRunResult
 AntPipelineModel::run(const ProblemSpec &spec, const CsrMatrix &kernel,
-                      const CsrMatrix &image,
-                      std::uint32_t num_threads) const
+                      const CsrMatrix &image) const
 {
     ANT_ASSERT(spec.kind() == ProblemSpec::Kind::Conv,
                "the tick-accurate model covers convolutions");
@@ -217,22 +215,11 @@ AntPipelineModel::run(const ProblemSpec &spec, const CsrMatrix &kernel,
     // Pre-resolve the per-group plans (ranges + windowed candidates),
     // exactly the work stages 1-3 of the pipeline perform; the tick
     // simulation then exercises the scan/fetch/multiply/retire flow.
-    // Plans are independent per group, so they are built in parallel;
-    // each lands in its own slot and the serial tick loop below reads
-    // them in group order, keeping the run bit-identical for every
-    // thread count.
     const std::size_t group_count = (image_entries.size() + n - 1) / n;
     std::vector<GroupPlan> plans(group_count);
     std::optional<ScopedTimer> plan_timer(std::in_place, Stage::PlanBuild);
-    ThreadPool plan_pool(num_threads);
-    plan_pool.parallelFor(
-        0, group_count, /*grain=*/8,
-        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
-        // discipline: each task writes only plans[g] (its own
-        // group-indexed slot); every other capture is read-only
-        // (trace_determinism_test proves thread-count invariance).
-        [&](std::uint64_t g, std::uint32_t) {
-        const std::size_t ib = static_cast<std::size_t>(g) * n;
+    for (std::size_t g = 0; g < group_count; ++g) {
+        const std::size_t ib = g * n;
         GroupPlan plan;
         plan.image_begin = ib;
         plan.image_end = std::min(ib + n, image_entries.size());
@@ -266,7 +253,7 @@ AntPipelineModel::run(const ProblemSpec &spec, const CsrMatrix &kernel,
             }
         }
         plans[g] = std::move(plan);
-    });
+    }
     plan_timer.reset();
 
     PipelineRunResult result;

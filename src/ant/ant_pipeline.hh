@@ -59,16 +59,9 @@ class AntPipelineModel
     /**
      * Run one (kernel, image) convolution pair to completion.
      * Requires an image-stationary config and a Conv spec.
-     *
-     * @param num_threads Workers for the per-group plan construction
-     *        (stages 1-3 pre-resolution); 0 = hardware_concurrency.
-     *        The tick loop itself is inherently serial. Results are
-     *        bit-identical for every value: each group's plan is a
-     *        pure function of the group, written to its own slot.
      */
     PipelineRunResult run(const ProblemSpec &spec, const CsrMatrix &kernel,
-                          const CsrMatrix &image,
-                          std::uint32_t num_threads = 1) const;
+                          const CsrMatrix &image) const;
 
   private:
     AntPeConfig config_;

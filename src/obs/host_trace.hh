@@ -19,12 +19,15 @@
  * One switch: setEnabled() below. Benches drive it from
  * --host-trace-out / ANTSIM_HOST_TRACE.
  *
- * Threading: each recording thread owns a ThreadBuf (installed by
- * threadAttach at the pool's thread entry points) and appends spans
- * with no locking. Worker threads only record inside parallelFor item
- * lambdas, whose completion happens-before parallelFor returns, so an
- * exporter running after the runs finish reads quiescent buffers. The
- * registry mutex covers only attach and export.
+ * Threading: each recording thread holds a ThreadBuf (installed by
+ * threadAttach) and appends spans with no locking. A pool worker
+ * attaches when its thread starts and detaches before it exits, and
+ * the next thread attaching under the same role takes that buffer
+ * over, so the trace has one lane per role however many pools ran.
+ * Workers finish before parallelFor returns, so an exporter running
+ * after the runs reads quiescent buffers. The registry mutex covers
+ * only attach, detach and export; it also orders one holder's spans
+ * before the next holder's.
  *
  * Overhead: when host tracing is off (the default), every site is one
  * thread-local pointer branch (detail::t_buf stays nullptr), the same
@@ -68,14 +71,17 @@ struct Span
 /** Spans kept per thread before the tail is dropped (marked). */
 constexpr std::size_t kMaxSpansPerThread = 1u << 20;
 
-/** One thread's span buffer; owned by the registry, written lock-free
- *  by the owning thread. */
+/** One lane's span buffer; owned by the registry, written lock-free
+ *  by the thread holding it. */
 struct ThreadBuf
 {
     /** Lane label for the exported thread_name metadata. */
     std::string role;
     std::vector<Span> spans;
     bool truncated = false;
+    /** A live thread holds this buffer (guarded by the registry
+     *  mutex). */
+    bool held = false;
 };
 
 namespace detail {
@@ -88,8 +94,8 @@ inline std::atomic<bool> g_enabled{false};
 struct Registry
 {
     std::mutex mutex;
-    /** Buffers outlive their threads (export runs after workers may
-     *  have parked or died); clearHostTrace empties, never frees. */
+    /** Buffers outlive their threads (export runs after the pool
+     *  threads joined); clear() empties, never frees. */
     std::vector<std::unique_ptr<ThreadBuf>> threads;
 };
 
@@ -111,8 +117,8 @@ enabled()
 
 /**
  * Turn host observability -- this tracer -- on or off process-wide.
- * Threads attach lazily; disabling stops new attachments but leaves
- * existing buffers in place.
+ * Disabling stops new attachments but leaves existing buffers in
+ * place.
  */
 inline void
 setEnabled(bool on)
@@ -142,7 +148,8 @@ nowNs()
 
 /**
  * Install a span buffer for the calling thread under lane label
- * @p role ("main", "worker 3"); no-op when disabled or attached.
+ * @p role ("main", "worker 3"): a buffer of that role no live thread
+ * holds, else a new one. No-op when disabled or attached.
  */
 inline void
 threadAttach(const std::string &role)
@@ -151,9 +158,33 @@ threadAttach(const std::string &role)
         return;
     detail::Registry &reg = detail::registry();
     const std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.threads.push_back(std::make_unique<ThreadBuf>());
-    reg.threads.back()->role = role;
-    detail::t_buf = reg.threads.back().get();
+    ThreadBuf *free_buf = nullptr;
+    for (const auto &thread : reg.threads) {
+        if (!thread->held && thread->role == role) {
+            free_buf = thread.get();
+            break;
+        }
+    }
+    if (free_buf == nullptr) {
+        reg.threads.push_back(std::make_unique<ThreadBuf>());
+        free_buf = reg.threads.back().get();
+        free_buf->role = role;
+    }
+    free_buf->held = true;
+    detail::t_buf = free_buf;
+}
+
+/** Release the calling thread's buffer to the next thread of its
+ *  role; call before the thread exits. No-op when not attached. */
+inline void
+threadDetach()
+{
+    if (detail::t_buf == nullptr)
+        return;
+    detail::Registry &reg = detail::registry();
+    const std::lock_guard<std::mutex> lock(reg.mutex);
+    detail::t_buf->held = false;
+    detail::t_buf = nullptr;
 }
 
 /** Append a finished span to the calling thread's buffer. */
@@ -215,8 +246,8 @@ class ScopedSpan
 // Consumer API (host_trace.cc, ant_obs).
 
 /**
- * Serialize every thread's spans as Chrome trace-event JSON: one tid
- * per recording thread (registration order), ts/dur in integer
+ * Serialize every lane's spans as Chrome trace-event JSON: one tid
+ * per span buffer (registration order), ts/dur in integer
  * microseconds rebased to the earliest span. Deterministic for
  * identical recorded content.
  */

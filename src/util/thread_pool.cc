@@ -1,6 +1,11 @@
 #include "thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <string>
+#include <thread>
+#include <vector>
 
 // Header-inline producer API only: ant_util cannot link ant_obs
 // (ant_obs links ant_util).
@@ -13,8 +18,7 @@ namespace {
 
 /**
  * Worker identity of the current thread while it executes a job, so a
- * nested parallelFor can run inline under the caller's worker id
- * instead of deadlocking on the busy pool.
+ * nested parallelFor can run inline under the caller's worker id.
  */
 thread_local const ThreadPool *t_active_pool = nullptr;
 thread_local std::uint32_t t_worker_id = 0;
@@ -44,6 +48,49 @@ class WorkerScope
     std::uint32_t prev_id_;
 };
 
+/** One parallelFor's shared state. */
+struct Job
+{
+    std::uint64_t end = 0;
+    std::uint64_t grain = 1;
+    const ThreadPool::IndexFn *fn = nullptr;
+    /** Next unclaimed index. */
+    std::atomic<std::uint64_t> cursor{0};
+    /** Set by the first worker to throw; every worker then stops. */
+    std::atomic<bool> failed{false};
+    /** That worker's exception; the caller reads it after the joins. */
+    std::exception_ptr error;
+};
+
+/** From a catch handler: keep the first failure of @p job. */
+void
+fail(Job &job) noexcept
+{
+    if (!job.failed.exchange(true))
+        job.error = std::current_exception();
+}
+
+/** Claim and run blocks of @p job as worker @p worker of @p pool. */
+void
+runChunks(const ThreadPool *pool, Job &job, std::uint32_t worker) noexcept
+{
+    const WorkerScope scope(pool, worker);
+    for (;;) {
+        const std::uint64_t start =
+            job.cursor.fetch_add(job.grain, std::memory_order_relaxed);
+        if (start >= job.end || job.failed.load())
+            return;
+        const std::uint64_t stop = std::min(start + job.grain, job.end);
+        try {
+            for (std::uint64_t i = start; i < stop; ++i)
+                (*job.fn)(i, worker);
+        } catch (...) {
+            fail(job);
+            return;
+        }
+    }
+}
+
 } // namespace
 
 std::uint32_t
@@ -55,97 +102,6 @@ ThreadPool::resolveThreadCount(std::uint32_t requested)
     return hw == 0 ? 1 : static_cast<std::uint32_t>(hw);
 }
 
-ThreadPool::ThreadPool(std::uint32_t num_threads)
-    : thread_count_(resolveThreadCount(num_threads))
-{
-    workers_.reserve(thread_count_ - 1);
-    for (std::uint32_t w = 1; w < thread_count_; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::runChunks(Job &job, std::uint32_t worker_id)
-{
-    const WorkerScope scope(this, worker_id);
-    const std::uint64_t total = job.end - job.begin;
-    for (;;) {
-        const std::uint64_t start =
-            job.cursor.fetch_add(job.grain, std::memory_order_relaxed);
-        if (start >= job.end)
-            break;
-        const std::uint64_t stop = std::min(start + job.grain, job.end);
-        // Once a worker failed, later blocks are claimed and retired
-        // without running so `completed` still reaches `total` and the
-        // caller wakes up to rethrow.
-        if (!job.failed.load(std::memory_order_acquire)) {
-            try {
-                for (std::uint64_t i = start; i < stop; ++i)
-                    (*job.fn)(i, worker_id);
-            } catch (...) {
-                {
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    if (!job.error)
-                        job.error = std::current_exception();
-                }
-                job.failed.store(true, std::memory_order_release);
-            }
-        }
-        const std::uint64_t done =
-            job.completed.fetch_add(stop - start,
-                                    std::memory_order_acq_rel) +
-            (stop - start);
-        if (done == total) {
-            // Lock so the notify cannot slip between the caller's
-            // predicate check and its wait.
-            const std::lock_guard<std::mutex> lock(mutex_);
-            done_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::workerLoop(std::uint32_t worker_id)
-{
-    std::uint64_t seen_generation = 0;
-    for (;;) {
-        // Attach lazily every round: host tracing can be switched on
-        // after the pool (and its workers) already exist.
-        obs::host::threadAttach("worker " + std::to_string(worker_id));
-        Job *job = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return shutdown_ || generation_ != seen_generation;
-            });
-            if (shutdown_)
-                return;
-            seen_generation = generation_;
-            // A late wake-up can observe the generation bump after
-            // the caller already retired the job (job_ == nullptr).
-            job = job_;
-            if (job != nullptr)
-                ++job->workersInside;
-        }
-        if (job != nullptr) {
-            runChunks(*job, worker_id);
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (--job->workersInside == 0)
-                done_.notify_all();
-        }
-    }
-}
-
 void
 ThreadPool::parallelFor(std::uint64_t begin, std::uint64_t end,
                         std::uint64_t grain, const IndexFn &fn)
@@ -155,47 +111,43 @@ ThreadPool::parallelFor(std::uint64_t begin, std::uint64_t end,
         return;
 
     // Nested call from one of this pool's workers: run inline under
-    // the caller's worker id (the outer parallelFor owns the pool).
+    // the caller's worker id (the outer parallelFor owns the workers).
     if (t_active_pool == this) {
         for (std::uint64_t i = begin; i < end; ++i)
             fn(i, t_worker_id);
         return;
     }
 
-    if (thread_count_ == 1) {
-        // The whole job is one block on worker 0.
-        const WorkerScope scope(this, 0);
-        for (std::uint64_t i = begin; i < end; ++i)
-            fn(i, 0);
-        return;
-    }
-
     Job job;
-    job.begin = begin;
     job.end = end;
     job.grain = grain;
     job.fn = &fn;
     job.cursor.store(begin, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
-        ++generation_;
+
+    std::vector<std::thread> workers;
+    workers.reserve(thread_count_ - 1);
+    try {
+        for (std::uint32_t w = 1; w < thread_count_; ++w) {
+            workers.emplace_back([this, &job, w] {
+                try {
+                    obs::host::threadAttach("worker " + std::to_string(w));
+                } catch (...) {
+                    fail(job);
+                }
+                runChunks(this, job, w);
+                obs::host::threadDetach();
+            });
+        }
+    } catch (...) {
+        // A thread failed to start: the workers already running and
+        // the caller still drain the whole job. Untested -- provoking
+        // it takes thread exhaustion.
     }
-    wake_.notify_all();
 
     // The caller is worker 0.
-    runChunks(job, 0);
-
-    const std::uint64_t total = end - begin;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] {
-            return job.completed.load(std::memory_order_acquire) ==
-                total &&
-                job.workersInside == 0;
-        });
-        job_ = nullptr;
-    }
+    runChunks(this, job, 0);
+    for (std::thread &worker : workers)
+        worker.join();
     if (job.error)
         std::rethrow_exception(job.error);
 }

@@ -1,46 +1,42 @@
 /**
  * @file
- * Fixed-size worker pool with a deterministic parallel-for.
+ * Worker count with a deterministic parallel-for.
  *
- * The simulator's hot loops (runConvNetwork's (layer, phase, sample)
- * units, the pipeline model's per-group plan construction) are
- * embarrassingly parallel: every work item is a pure function of its
- * index. The pool therefore exposes exactly one primitive,
- * parallelFor(begin, end, grain, fn), which invokes fn(index, worker)
- * for every index in [begin, end) exactly once, with worker in
- * [0, threadCount()). Callers that need bit-identical results across
- * thread counts write each item's output to a slot keyed by its index
- * and reduce the slots in index order afterwards (see
- * workload/runner.cc and DESIGN.md "Parallel execution model").
+ * The simulator's hot loop (runConvNetwork's (layer, phase, sample)
+ * units) is embarrassingly parallel: every work item is a pure
+ * function of its index. The pool therefore exposes exactly one
+ * primitive, parallelFor(begin, end, grain, fn), which invokes
+ * fn(index, worker) for every index in [begin, end) exactly once, with
+ * worker in [0, threadCount()). Callers that need bit-identical
+ * results across thread counts write each item's output to a slot
+ * keyed by its index and reduce the slots in index order afterwards
+ * (see workload/runner.cc and DESIGN.md "Parallel execution model").
  *
- * Scheduling is work-stealing-light: workers claim contiguous blocks
- * of @p grain indices from a shared atomic cursor, so the assignment
- * of indices to workers is racy and irrelevant -- correctness never
- * depends on it. The calling thread participates as worker 0, so a
- * pool constructed with 1 thread spawns nothing and runs inline.
+ * A pool is a worker count, not a set of live threads: each
+ * parallelFor starts threadCount() - 1 threads, which claim contiguous
+ * blocks of @p grain indices from a shared atomic cursor beside the
+ * calling thread (worker 0), and joins them all before it returns. So
+ * no thread outlives the job it ran, and a 1-thread pool starts none.
+ * The assignment of indices to workers is racy and irrelevant --
+ * correctness never depends on it. Should a thread fail to start, the
+ * workers already running and the caller drain the job alone.
  *
  * Exceptions thrown by fn are captured (first one wins), remaining
  * blocks are drained without executing fn, and the exception is
- * rethrown on the calling thread when parallelFor returns. A
+ * rethrown on the calling thread once every worker has joined. A
  * parallelFor issued from inside a worker (nested parallelism) runs
- * inline on that worker -- the pool never deadlocks on itself.
+ * inline on that worker.
  */
 
 #ifndef ANTSIM_UTIL_THREAD_POOL_HH
 #define ANTSIM_UTIL_THREAD_POOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace antsim {
 
-/** Fixed pool of worker threads driving parallelFor calls. */
+/** Worker count driving parallelFor calls. */
 class ThreadPool
 {
   public:
@@ -51,8 +47,10 @@ class ThreadPool
      * @param num_threads Total workers including the calling thread;
      *        0 selects std::thread::hardware_concurrency().
      */
-    explicit ThreadPool(std::uint32_t num_threads = 0);
-    ~ThreadPool();
+    explicit ThreadPool(std::uint32_t num_threads = 0)
+        : thread_count_(resolveThreadCount(num_threads))
+    {
+    }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -65,52 +63,17 @@ class ThreadPool
 
     /**
      * Invoke fn(i, worker) for every i in [begin, end) exactly once.
-     * Blocks until all indices are processed; rethrows the first
-     * exception any invocation raised. @p grain is the block size
-     * workers claim at a time (must be positive); it bounds scheduling
-     * overhead, never visibility of indices.
+     * Blocks until all indices are processed and every worker thread
+     * has joined; rethrows the first exception any invocation raised.
+     * @p grain is the block size workers claim at a time (must be
+     * positive); it bounds scheduling overhead, never visibility of
+     * indices.
      */
     void parallelFor(std::uint64_t begin, std::uint64_t end,
                      std::uint64_t grain, const IndexFn &fn);
 
   private:
-    /** One parallelFor's shared state. */
-    struct Job
-    {
-        std::uint64_t begin = 0;
-        std::uint64_t end = 0;
-        std::uint64_t grain = 1;
-        const IndexFn *fn = nullptr;
-        /** Next unclaimed index. */
-        std::atomic<std::uint64_t> cursor{0};
-        /** Indices claimed and retired (run or drained). */
-        std::atomic<std::uint64_t> completed{0};
-        /** Set once a worker captured an exception. */
-        std::atomic<bool> failed{false};
-        /** First captured exception (guarded by the pool mutex). */
-        std::exception_ptr error;
-        /**
-         * Background workers currently executing this job (guarded by
-         * the pool mutex). The caller waits for it to reach zero so
-         * the stack-allocated Job cannot be destroyed while a
-         * late-waking worker still holds a pointer to it.
-         */
-        std::uint32_t workersInside = 0;
-    };
-
-    void workerLoop(std::uint32_t worker_id);
-    void runChunks(Job &job, std::uint32_t worker_id);
-
     std::uint32_t thread_count_;
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    /** Job being executed, null when idle (guarded by mutex_). */
-    Job *job_ = nullptr;
-    /** Bumped per parallelFor so workers detect new jobs. */
-    std::uint64_t generation_ = 0;
-    bool shutdown_ = false;
 };
 
 } // namespace antsim

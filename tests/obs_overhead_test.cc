@@ -271,5 +271,39 @@ TEST(ObsOverhead, HostStageSpansMatchProfilerAndReportHasNoCopies)
     obs::host::clear();
 }
 
+TEST(ObsOverhead, HostTraceHasOneLanePerWorkerRole)
+{
+    // Each run starts fresh pool threads; a thread taking over the
+    // buffer its role's predecessor released keeps the trace at one
+    // lane per role however many runs it covers.
+    RunConfig config;
+    config.sampleCap = 1;
+    config.numThreads = 2;
+    config.runLabel = "tiny/scnn";
+
+    ScnnPe pe;
+    obs::host::clear();
+    obs::host::setEnabled(true);
+    obs::host::threadAttach("main");
+    for (int run = 0; run < 2; ++run)
+        runConvNetwork(pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
+    obs::host::setEnabled(false);
+
+    std::string error;
+    const Json trace = Json::parse(obs::host::toChromeJson(), &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const Json &events = trace.at("traceEvents");
+    std::vector<std::string> lanes;
+    for (std::size_t e = 0; e < events.size(); ++e) {
+        if (events.at(e).at("name").asString() == "thread_name")
+            lanes.push_back(events.at(e).at("args").at("name").asString());
+    }
+    std::vector<std::string> expected = {"main"};
+    for (std::uint32_t w = 1; w < effectiveWorkerCount(2); ++w)
+        expected.push_back("worker " + std::to_string(w));
+    EXPECT_EQ(lanes, expected);
+    obs::host::clear();
+}
+
 } // namespace
 } // namespace antsim

@@ -8,14 +8,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
 
 namespace antsim {
 namespace {
+
+/** The process's live thread count (Linux /proc/self/status), or -1
+ *  when it cannot be read. */
+long
+liveThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stol(line.substr(8));
+    }
+    return -1;
+}
 
 /** Every index in [begin, end) is visited exactly once. */
 void
@@ -178,6 +196,30 @@ TEST(ThreadPool, ManySmallJobsReuseWorkers)
     ThreadPool pool(4);
     for (int round = 0; round < 50; ++round)
         expectExactCoverage(pool, 0, 17, 2);
+}
+
+TEST(ThreadPool, ThreadsEndWithTheirJob)
+{
+    // A pool is a worker count: parallelFor joins every thread it
+    // started, so none outlives the job -- not even while the pool
+    // itself lives on.
+    const long before = liveThreads();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/status has no Threads: line";
+    ThreadPool pool(4);
+    std::atomic<std::uint64_t> sum{0};
+    pool.parallelFor(0, 64, 1, [&](std::uint64_t i, std::uint32_t) {
+        sum.fetch_add(i);
+    });
+    EXPECT_EQ(sum.load(), 64u * 63u / 2u);
+    // A joined thread can still be counted for a moment: the kernel
+    // wakes the joiner before it retires the thread.
+    long after = liveThreads();
+    for (int wait_ms = 0; after != before && wait_ms < 2000; ++wait_ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        after = liveThreads();
+    }
+    EXPECT_EQ(after, before);
 }
 
 } // namespace
