@@ -763,7 +763,13 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     image_values.fill(image.nnz());
     image_indices.fill(image.nnz());
 
-    Accumulator accumulator(spec, config_.accumulatorBank);
+    // Only a functional run routes products through the accumulator
+    // (and pays for its output plane). A counting run takes the closed
+    // form below; the functional loop is its oracle
+    // (AntPeMatmul.CountingMatchesFunctionalCounters).
+    std::optional<Accumulator> accumulator;
+    if (collect_output)
+        accumulator.emplace(spec, config_.accumulatorBank);
 
     const std::uint32_t n = config_.n;
     // CSC traversal: a group of n consecutive entries shares one (or a
@@ -772,9 +778,16 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     const CscMatrix csc = CscMatrix::fromCsr(image);
     std::vector<SparseEntry> image_entries;
     image_entries.reserve(csc.nnz());
-    for (std::uint32_t i = 0; i < csc.nnz(); ++i)
-        image_entries.push_back(csc.entry(i));
+    {
+        const auto col_ptr = csc.colPtr();
+        const auto rows = csc.rows();
+        const auto values = csc.values();
+        for (std::uint32_t x = 0; x < csc.width(); ++x)
+            for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
+                image_entries.push_back({values[i], x, rows[i]});
+    }
 
+    const auto kernel_row_ptr = kernel.rowPtr();
     const std::uint64_t all_products =
         static_cast<std::uint64_t>(kernel.nnz()) *
         static_cast<std::uint64_t>(image.nnz());
@@ -809,6 +822,57 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
             image_entries[ib].x, image_entries[ie - 1].x);
         c.add(Counter::IndexCompares, 2);
 
+        if (!row_window.empty()) {
+            c.add(Counter::SramRowPtrReads,
+                  rowPtrAccesses(1, static_cast<std::uint64_t>(
+                                        row_window.hi - row_window.lo +
+                                        1)));
+        }
+        // Kernel entries the buffer streams for this window.
+        const std::uint64_t m = row_window.empty()
+            ? 0
+            : kernel_row_ptr[static_cast<std::size_t>(row_window.hi) + 1] -
+                kernel_row_ptr[static_cast<std::size_t>(row_window.lo)];
+        if (m == 0) {
+            ++cycles;
+            c.add(Counter::IdleScanCycles);
+            if (rec)
+                rec->advance(obs::SpanKind::IdleScan, 1);
+            continue;
+        }
+
+        if (!accumulator) {
+            // FNIR bypassed: the buffer streams the m entries n per
+            // cycle, each meeting the whole image group. A product is
+            // valid iff its kernel row equals the image column
+            // (Eq. 14), and every column x of the group lies inside
+            // the window, so an image entry at x has exactly rownnz(x)
+            // valid partners.
+            const std::uint64_t active = (m + n - 1) / n;
+            kernel_indices.readGroups(m, n, c);
+            kernel_values.readGroups(m, n, c);
+            elements_read += 2 * m;
+            cycles += active;
+            c.add(Counter::ActiveCycles, active);
+            if (rec)
+                rec->advance(obs::SpanKind::Active, active);
+
+            std::uint64_t valid = 0;
+            for (std::size_t i = ib; i < ie; ++i) {
+                const std::uint32_t x = image_entries[i].x;
+                valid += kernel_row_ptr[x + 1] - kernel_row_ptr[x];
+            }
+            const std::uint64_t group_executed = m * igroup;
+            executed += group_executed;
+            c.add(Counter::MultsExecuted, group_executed);
+            c.add(Counter::OutputIndexCalcs, group_executed);
+            c.add(Counter::MultsValid, valid);
+            c.add(Counter::MultsRcp, group_executed - valid);
+            c.add(Counter::AccumAdds, valid);
+            c.add(Counter::SramWrites, valid);
+            continue;
+        }
+
         if (!cache_filled || cached_lo != row_window.lo ||
             cached_hi != row_window.hi) {
             candidates.clear();
@@ -817,19 +881,6 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
             cached_lo = row_window.lo;
             cached_hi = row_window.hi;
             cache_filled = true;
-        }
-        if (!row_window.empty()) {
-            c.add(Counter::SramRowPtrReads,
-                  rowPtrAccesses(1, static_cast<std::uint64_t>(
-                                        row_window.hi - row_window.lo +
-                                        1)));
-        }
-        if (candidates.empty()) {
-            ++cycles;
-            c.add(Counter::IdleScanCycles);
-            if (rec)
-                rec->advance(obs::SpanKind::IdleScan, 1);
-            continue;
         }
 
         // FNIR bypassed: the buffer streams n kernel entries per cycle.
@@ -848,13 +899,13 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
                   static_cast<std::uint64_t>(kgroup) * igroup);
             executed += static_cast<std::uint64_t>(kgroup) * igroup;
 
-            accumulator.newIssueGroup();
+            accumulator->newIssueGroup();
             for (std::size_t kk = kb; kk < ke; ++kk) {
                 const auto &cand = candidates[kk];
                 for (std::size_t i = ib; i < ie; ++i) {
                     const auto &img = image_entries[i];
-                    accumulator.offer(img.value, img.x, img.y, cand.value,
-                                      cand.s, cand.r, c);
+                    accumulator->offer(img.value, img.x, img.y, cand.value,
+                                       cand.s, cand.r, c);
                 }
             }
         }
@@ -866,8 +917,8 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
                                         : 0);
     c.set(Counter::RcpsAvoided, all_products - executed);
     c.set(Counter::Cycles, cycles);
-    if (collect_output)
-        result.output = accumulator.output();
+    if (accumulator)
+        result.output = accumulator->output();
     return result;
 }
 

@@ -34,6 +34,16 @@ SramBuffer::read(std::uint32_t elements, CounterSet &counters) const
 }
 
 void
+SramBuffer::readGroups(std::uint64_t elements, std::uint32_t group,
+                       CounterSet &counters) const
+{
+    const std::uint64_t per = config_.elementsPerAccess();
+    const std::uint64_t tail = elements % group;
+    counters.add(counter_, elements / group * ((group + per - 1) / per) +
+                     (tail + per - 1) / per);
+}
+
+void
 SramBuffer::write(std::uint32_t elements, CounterSet &counters) const
 {
     if (elements == 0)

@@ -100,6 +100,14 @@ class SramBuffer
      */
     void read(std::uint32_t elements, CounterSet &counters) const;
 
+    /**
+     * Record a stream of @p elements sequential elements read
+     * @p group at a time: the word accesses of read(group) repeated
+     * floor(elements / group) times, then read(elements % group).
+     */
+    void readGroups(std::uint64_t elements, std::uint32_t group,
+                    CounterSet &counters) const;
+
     /** Record a write of @p elements elements (accumulator banks). */
     void write(std::uint32_t elements, CounterSet &counters) const;
 

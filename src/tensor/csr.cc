@@ -507,21 +507,6 @@ CscMatrix::fromCsr(const CsrMatrix &csr)
     return csc;
 }
 
-std::uint32_t
-CscMatrix::colOfPosition(std::uint32_t pos) const
-{
-    ANT_ASSERT(pos < nnz(), "position ", pos, " beyond nnz ", nnz());
-    const auto col_ptr = colPtr();
-    const auto it = std::upper_bound(col_ptr.begin(), col_ptr.end(), pos);
-    return static_cast<std::uint32_t>(it - col_ptr.begin()) - 1;
-}
-
-SparseEntry
-CscMatrix::entry(std::uint32_t pos) const
-{
-    return {values()[pos], colOfPosition(pos), rows()[pos]};
-}
-
 Dense2d<float>
 CscMatrix::toDense() const
 {

@@ -245,12 +245,6 @@ class CscMatrix
                 static_cast<std::size_t>(width_) + 1};
     }
 
-    /** Column index of the stored element at flat position @p pos. */
-    std::uint32_t colOfPosition(std::uint32_t pos) const;
-
-    /** The stored entry at flat position @p pos as (value, x, y). */
-    SparseEntry entry(std::uint32_t pos) const;
-
     /** Decompress to dense. */
     Dense2d<float> toDense() const;
 

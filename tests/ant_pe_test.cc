@@ -7,14 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "ant/ant_pe.hh"
 #include "conv/anticipate.hh"
 #include "conv/dense_conv.hh"
+#include "obs/trace.hh"
+#include "report/json.hh"
 #include "scnn/scnn_pe.hh"
+#include "sim/chunking.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
+#include "workload/networks.hh"
+#include "workload/runner.hh"
 
 namespace antsim {
 namespace {
@@ -257,6 +265,119 @@ TEST(AntPeMatmul, ValidCountMatchesReferenceCensus)
             (kernel.rowPtr()[x + 1] - kernel.rowPtr()[x]);
     }
     EXPECT_EQ(r.counters.get(Counter::MultsValid), want_valid);
+}
+
+TEST(AntPeMatmul, CountingMatchesFunctionalCounters)
+{
+    // A counting run (collect_output == false) takes the closed form
+    // over kernel row pointers; a functional run offers every executed
+    // product to the accumulator. Every counter must agree, chunk pair
+    // by chunk pair, across shapes, sparsities, array widths, SRAM
+    // word widths and chunk capacities.
+    Rng rng(93);
+    const double sparsities[] = {0.0, 1.0, 0.3, 0.7, 0.95};
+    std::uint64_t pairs = 0;
+    for (const std::uint32_t n : {1u, 2u, 4u, 8u}) {
+        for (const std::uint32_t access_bits : {16u, 32u, 64u}) {
+            AntPeConfig cfg;
+            cfg.n = n;
+            cfg.buffer.accessBits = access_bits;
+            AntPe pe(cfg);
+            for (int trial = 0; trial < 40; ++trial) {
+                const auto h = static_cast<std::uint32_t>(rng.range(1, 40));
+                const auto inner =
+                    static_cast<std::uint32_t>(rng.range(1, 40));
+                const auto w = static_cast<std::uint32_t>(rng.range(1, 40));
+                const double sparsity = trial < 5
+                    ? sparsities[trial]
+                    : rng.uniform();
+                const CsrMatrix image =
+                    CsrMatrix::fromDense(bernoulliPlane(h, inner, sparsity,
+                                                        rng));
+                const CsrMatrix kernel =
+                    CsrMatrix::fromDense(bernoulliPlane(inner, w, sparsity,
+                                                        rng));
+                const auto spec = ProblemSpec::matmul(h, inner, inner, w);
+                const auto kernel_chunks = chunkByCapacity(
+                    kernel, static_cast<std::uint32_t>(rng.range(1, 64)));
+                const auto image_chunks = chunkByCapacity(
+                    image, static_cast<std::uint32_t>(rng.range(1, 64)));
+                // Every pair when there are few, else a random 64.
+                auto chunk_pairs = allChunkPairs(kernel_chunks,
+                                                 image_chunks);
+                if (chunk_pairs.size() > 64) {
+                    std::vector<ChunkPair> picked;
+                    for (int i = 0; i < 64; ++i)
+                        picked.push_back(
+                            chunk_pairs[rng.below(chunk_pairs.size())]);
+                    chunk_pairs = std::move(picked);
+                }
+                for (const ChunkPair &pair : chunk_pairs) {
+                    const PeResult counting =
+                        pe.runPair(spec, *pair.kernel, *pair.image, false);
+                    const PeResult functional =
+                        pe.runPair(spec, *pair.kernel, *pair.image, true);
+                    ++pairs;
+                    for (std::size_t ci = 0; ci < kNumCounters; ++ci) {
+                        const auto counter = static_cast<Counter>(ci);
+                        ASSERT_EQ(counting.counters.get(counter),
+                                  functional.counters.get(counter))
+                            << counterName(counter) << " n=" << n
+                            << " accessBits=" << access_bits << " shape "
+                            << h << "x" << inner << "x" << w
+                            << " sparsity " << sparsity;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(pairs, 10000u);
+}
+
+TEST(AntPeMatmul, TracedUnitSpansSumToCycles)
+{
+    // Counting runs mirror their cycles into the unit recorder in bulk;
+    // each unit (one RNN layer) must still trace exactly its cycles.
+    RunConfig config;
+    config.numThreads = 2;
+    AntPe pe;
+    obs::setEnabled(true);
+    obs::globalSink().clear();
+    const NetworkStats stats = runMatmulNetwork(
+        pe, rnnLayers(), 0.9, SparsifyMethod::TopK, config);
+    const std::string doc = obs::globalSink().toChromeJson(1);
+    obs::globalSink().clear();
+    obs::setEnabled(false);
+
+    // One lane: unit events and their spans follow each other in
+    // schedule order, so each "pe" span belongs to the unit before it.
+    std::string error;
+    const Json trace = Json::parse(doc, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const Json &events = trace.at("traceEvents");
+    std::map<std::string, std::uint64_t> unit_dur;
+    std::map<std::string, std::uint64_t> span_total;
+    std::string unit;
+    for (std::size_t e = 0; e < events.size(); ++e) {
+        const Json &ev = events.at(e);
+        const Json *cat = ev.find("cat");
+        if (cat == nullptr || ev.at("ph").asString() != "X")
+            continue;
+        if (cat->asString() == "unit") {
+            unit = ev.at("name").asString();
+            unit_dur[unit] = ev.at("dur").asUint();
+        } else if (cat->asString() == "pe") {
+            span_total[unit] += ev.at("dur").asUint();
+        }
+    }
+    ASSERT_EQ(unit_dur.size(), stats.layers.size());
+    for (const LayerStats &layer : stats.layers) {
+        const std::uint64_t cycles =
+            layer.phases[0].counters.get(Counter::Cycles);
+        EXPECT_GT(cycles, 0u) << layer.name;
+        EXPECT_EQ(span_total[layer.name], cycles) << layer.name;
+        EXPECT_EQ(unit_dur[layer.name], cycles) << layer.name;
+    }
 }
 
 TEST(AntPeDeathTest, KSmallerThanNRejected)

@@ -224,27 +224,5 @@ TEST(Csc, FromCsrEquivalent)
     EXPECT_EQ(vec(a.colPtr()), vec(b.colPtr()));
 }
 
-TEST(Csc, EntriesAreColumnMajor)
-{
-    const CscMatrix csc = CscMatrix::fromDense(samplePlane());
-    std::uint32_t prev_col = 0;
-    for (std::uint32_t i = 0; i < csc.nnz(); ++i) {
-        const SparseEntry e = csc.entry(i);
-        EXPECT_GE(e.x, prev_col);
-        prev_col = e.x;
-    }
-}
-
-TEST(Csc, ColOfPosition)
-{
-    const CscMatrix csc = CscMatrix::fromDense(samplePlane());
-    // Dense columns: col0 {5}, col1 {2}, col2 {7}, col3 {-1, 4}.
-    EXPECT_EQ(csc.colOfPosition(0), 0u);
-    EXPECT_EQ(csc.colOfPosition(1), 1u);
-    EXPECT_EQ(csc.colOfPosition(2), 2u);
-    EXPECT_EQ(csc.colOfPosition(3), 3u);
-    EXPECT_EQ(csc.colOfPosition(4), 3u);
-}
-
 } // namespace
 } // namespace antsim

@@ -189,10 +189,10 @@ TEST(ThreadPool, NestedParallelForRunsInline)
         EXPECT_EQ(v.load(), 1u);
 }
 
-TEST(ThreadPool, ManySmallJobsReuseWorkers)
+TEST(ThreadPool, BackToBackJobsEachStartAndJoinTheirThreads)
 {
-    // Back-to-back jobs on one pool: generation handoff must not lose
-    // or duplicate work.
+    // Back-to-back jobs on one pool, each starting and joining its own
+    // threads: no job may lose or duplicate work.
     ThreadPool pool(4);
     for (int round = 0; round < 50; ++round)
         expectExactCoverage(pool, 0, 17, 2);
