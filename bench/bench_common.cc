@@ -14,7 +14,6 @@
 #include "sim/pe_model.hh"
 #include "util/audit.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace antsim {
 namespace bench {
@@ -75,8 +74,8 @@ parseOptions(int argc, const char *const *argv,
     std::vector<std::string> known = {
         "samples",   "seed",        "pes",         "csv",
         "chunk",     "audit",       "threads",     "json",
-        "networks",  "trace-out",   "log-level",   "simd",
-        "estimate",  "host-trace-out"};
+        "networks",  "trace-out",   "log-level",   "estimate",
+        "host-trace-out"};
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     // Environment first, flags after: --log-level wins over
     // ANTSIM_LOG_LEVEL, --trace-out wins over ANTSIM_TRACE.
@@ -146,18 +145,6 @@ parseOptions(int argc, const char *const *argv,
     }
     if (g_cli->getBool("audit"))
         audit::setEnabled(true);
-    // --simd wins over the ANTSIM_SIMD environment setting (resolved
-    // at startup). The mode never influences results -- AVX2 and
-    // scalar kernels are bit-identical (simd_equivalence_test) -- only
-    // wall time, so it is safe to flip per run.
-    if (g_cli->has("simd")) {
-        const std::string text = g_cli->get("simd");
-        simd::Mode mode = simd::Mode::Auto;
-        if (text == "true" || !simd::parseMode(text, mode))
-            ANT_FATAL("flag --simd expects auto, scalar, or avx2; got '",
-                      text, "'");
-        simd::setMode(mode);
-    }
     // --estimate wins over ANTSIM_ESTIMATE (same precedence as every
     // other env-backed flag). Any non-empty env value enables it.
     if (g_cli->has("estimate")) {

@@ -2,7 +2,7 @@
 """Fail when the bench suite's stage timings regress against a baseline.
 
 Usage: check_perf.py BASELINE.json REPORT.json [--factor F]
-       [--min-seconds S] [--micro MICRO.json ...]
+       [--min-seconds S]
        check_perf.py --trend [BENCH_history.jsonl]
        check_perf.py --overhead BASE.json METERED.json
        [BASE.json METERED.json ...] [--max-overhead-pct P]
@@ -20,17 +20,6 @@ When the baseline carries an "estimate_ms_per_point_max" number, the
 report's summary.estimate_ms_per_point (the bench/sweep_dse wall clock
 of analytical estimation per design point) must stay at or under it;
 see check_estimate_ms_per_point below.
-
-When one or more --micro reports are given (google-benchmark
---benchmark_format=json output from bench/micro_census and
-bench/micro_csr), the baseline's "micro_speedups" pairs are also
-checked: each pair names a scalar and an AVX2 benchmark and the
-minimum scalar/AVX2 CPU-time ratio the vectorized kernel must keep
-(docs/MODEL.md Sec. 11). A pair whose AVX2 benchmark is absent from
-every report is skipped -- the benches register AVX2 variants only on
-AVX2 hardware -- so the gate passes (vacuously) on scalar-only
-machines while still catching kernel regressions where it can measure
-them.
 
 The comparison is printed as a per-stage delta table (baseline vs
 current, % change, limit, verdict); when the GITHUB_STEP_SUMMARY
@@ -79,70 +68,6 @@ def load_json(path):
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
         fatal("cannot read {}: {}".format(path, err))
-
-
-def parse_micro_paths(args):
-    """Extract every `--micro PATH` occurrence from args."""
-    paths = []
-    while "--micro" in args:
-        index = args.index("--micro")
-        if index + 1 >= len(args):
-            fatal("--micro expects a path")
-        paths.append(args[index + 1])
-        del args[index:index + 2]
-    return paths
-
-
-def load_micro_times(paths):
-    """Benchmark name -> CPU time from google-benchmark JSON reports.
-
-    Prefers the `_median` aggregate when --benchmark_repetitions was
-    used; otherwise takes the plain iteration entry. Times are kept in
-    each benchmark's own time_unit -- only ratios are computed, and a
-    scalar/AVX2 pair always comes from the same binary."""
-    times = {}
-    for path in paths:
-        doc = load_json(path)
-        entries = doc.get("benchmarks")
-        if not isinstance(entries, list):
-            fatal("{} has no benchmarks array".format(path))
-        for entry in entries:
-            name = entry.get("run_name", entry.get("name"))
-            cpu = entry.get("cpu_time")
-            if not isinstance(name, str) or cpu is None:
-                continue
-            aggregate = entry.get("aggregate_name", "")
-            if aggregate == "median" or (aggregate == "" and
-                                         name not in times):
-                times[name] = float(cpu)
-    return times
-
-
-def check_micro_speedups(pairs, times):
-    """Check each scalar/AVX2 pair; returns the list of failures."""
-    failures = []
-    print("check_perf: micro-kernel speedups (scalar CPU time / AVX2):")
-    for pair_name, spec in sorted(pairs.items()):
-        scalar_name = spec.get("scalar")
-        avx2_name = spec.get("avx2")
-        minimum = spec.get("min_speedup")
-        if not scalar_name or not avx2_name or minimum is None:
-            fatal("micro_speedups '{}' needs scalar, avx2, and "
-                  "min_speedup".format(pair_name))
-        if scalar_name not in times:
-            fatal("micro reports are missing benchmark '{}'".format(
-                scalar_name))
-        if avx2_name not in times:
-            print("check_perf:   {:<20} skipped (no AVX2 benchmark; "
-                  "scalar-only hardware)".format(pair_name))
-            continue
-        speedup = times[scalar_name] / times[avx2_name]
-        verdict = "ok" if speedup >= float(minimum) else "REGRESSED"
-        print("check_perf:   {:<20} {:6.2f}x  (min {:.2f}x)  {}".format(
-            pair_name, speedup, float(minimum), verdict))
-        if verdict == "REGRESSED":
-            failures.append(pair_name)
-    return failures
 
 
 def parse_flag(args, name, default):
@@ -361,7 +286,6 @@ def main(argv):
         return run_overhead(args[1:])
     factor = parse_flag(args, "--factor", 2.0)
     min_seconds = parse_flag(args, "--min-seconds", 0.05)
-    micro_paths = parse_micro_paths(args)
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -385,17 +309,6 @@ def main(argv):
             factor, ", ".join(failures)))
 
     check_estimate_ms_per_point(load_json(baseline_path), report)
-
-    if micro_paths:
-        pairs = load_json(baseline_path).get("micro_speedups")
-        if not isinstance(pairs, dict) or not pairs:
-            fatal("{} has no micro_speedups object but --micro was "
-                  "given".format(baseline_path))
-        micro_failures = check_micro_speedups(
-            pairs, load_micro_times(micro_paths))
-        if micro_failures:
-            fatal("micro-kernel pair(s) below minimum speedup: {}".format(
-                ", ".join(micro_failures)))
 
     print("check_perf: all stages within budget")
     return 0

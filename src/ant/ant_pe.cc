@@ -11,13 +11,7 @@
 #include "sim/accumulator.hh"
 #include "util/arena.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 #include "verify/audit_hooks.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -34,8 +28,7 @@ struct Candidate
 /**
  * The windowed candidate stream in structure-of-arrays form: the FNIR
  * comparator bank reads s[] directly as one contiguous lane vector,
- * and the classify kernel gathers on s[]/r[] (64-byte-aligned via
- * AlignedVec).
+ * and the classify loop indexes the validity rows through s[]/r[].
  */
 struct CandidateStream
 {
@@ -58,74 +51,19 @@ struct CandidateStream
 /**
  * Per-product validity classification of one image entry against a
  * group of selected candidates: returns how many of the first
- * @p count (s, r) pairs are valid partners of (x_row, y_row). Scalar
- * ground truth for the AVX2 gather kernel; the tables store strict
- * 0/1 bytes.
+ * @p count (s, r) pairs are valid partners of (x_row, y_row). The
+ * tables store strict 0/1 bytes, so a bitwise AND counts without the
+ * data-dependent branch a short-circuit && would compile to.
  */
-std::uint32_t
-classifyCountScalar(const std::uint8_t *x_row, const std::uint8_t *y_row,
-                    const std::uint32_t *s, const std::uint32_t *r,
-                    std::uint32_t count)
-{
-    std::uint32_t valid = 0;
-    for (std::uint32_t j = 0; j < count; ++j)
-        valid += (x_row[s[j]] && y_row[r[j]]) ? 1 : 0;
-    return valid;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-__attribute__((target("avx2"))) std::uint32_t
-classifyCountAvx2(const std::uint8_t *x_row, const std::uint8_t *y_row,
-                  const std::uint32_t *s, const std::uint32_t *r,
-                  std::uint32_t count)
-{
-    const __m256i byte_mask = _mm256_set1_epi32(0xFF);
-    const __m256i one = _mm256_set1_epi32(1);
-    std::uint32_t valid = 0;
-    std::uint32_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        // Byte-granularity gathers through 4-byte loads; the ValidTable
-        // rows carry 3 slack bytes so the widest load stays in bounds.
-        const __m256i sv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + j));
-        const __m256i rv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(r + j));
-        const __m256i xb = _mm256_and_si256(
-            _mm256_i32gather_epi32(
-                reinterpret_cast<const int *>(x_row), sv, 1),
-            byte_mask);
-        const __m256i yb = _mm256_and_si256(
-            _mm256_i32gather_epi32(
-                reinterpret_cast<const int *>(y_row), rv, 1),
-            byte_mask);
-        const __m256i both = _mm256_cmpeq_epi32(
-            _mm256_and_si256(xb, yb), one);
-        // antsim-lint: allow(counter-exactness) -- movemask_ps over an
-        // integer compare bit-cast to float lanes: every lane is the
-        // all-ones/all-zero epi32 mask, so the popcounted tally is
-        // exact integer arithmetic, never a rounded float.
-        valid += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(both)))));
-    }
-    for (; j < count; ++j)
-        valid += (x_row[s[j]] && y_row[r[j]]) ? 1 : 0;
-    return valid;
-}
-
-#endif // ANTSIM_X86_SIMD
-
 std::uint32_t
 classifyCount(const std::uint8_t *x_row, const std::uint8_t *y_row,
               const std::uint32_t *s, const std::uint32_t *r,
               std::uint32_t count)
 {
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return classifyCountAvx2(x_row, y_row, s, r, count);
-#endif
-    return classifyCountScalar(x_row, y_row, s, r, count);
+    std::uint32_t valid = 0;
+    for (std::uint32_t j = 0; j < count; ++j)
+        valid += x_row[s[j]] & y_row[r[j]];
+    return valid;
 }
 
 /**
@@ -303,8 +241,8 @@ AntPe::runConvStack(const ProblemSpec &spec,
     bool cache_filled = false;
     // Selected (s, r) pairs of one window, compacted into lane arrays
     // for the classify kernel; the FNIR selects at most n <= 64 ports.
-    alignas(32) std::uint32_t s_sel[64];
-    alignas(32) std::uint32_t r_sel[64];
+    std::uint32_t s_sel[64];
+    std::uint32_t r_sel[64];
 
     for (std::size_t ib = 0; ib < image_entries.size(); ib += n) {
         const std::size_t ie = std::min(ib + n, image_entries.size());
@@ -774,15 +712,16 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     const std::uint32_t n = config_.n;
     // CSC traversal: a group of n consecutive entries shares one (or a
     // few adjacent) column(s), so the kernel-row window [x_0, x_{n-1}]
-    // is tight (Sec. 5, Eq. 15).
-    const CscMatrix csc = CscMatrix::fromCsr(image);
+    // is tight (Sec. 5, Eq. 15). The CSC form is the transpose: its row
+    // pointers are the column pointers, its columns the row indices.
+    const CsrMatrix csc = image.transposed();
     std::vector<SparseEntry> image_entries;
     image_entries.reserve(csc.nnz());
     {
-        const auto col_ptr = csc.colPtr();
-        const auto rows = csc.rows();
+        const auto col_ptr = csc.rowPtr();
+        const auto rows = csc.columns();
         const auto values = csc.values();
-        for (std::uint32_t x = 0; x < csc.width(); ++x)
+        for (std::uint32_t x = 0; x < csc.height(); ++x)
             for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
                 image_entries.push_back({values[i], x, rows[i]});
     }

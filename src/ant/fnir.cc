@@ -1,26 +1,18 @@
 #include "fnir.hh"
 
-#include <limits>
-
 #include "util/logging.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
 namespace {
 
 /**
- * Comparator bank, scalar ground truth: bit j of the result is set
- * when s_indices[j] (zero-extended) lies in [min, max].
+ * Comparator bank: bit j of the result is set when s_indices[j]
+ * (zero-extended) lies in [min, max].
  */
 std::uint64_t
-rangeMaskScalar(const std::uint32_t *s_indices, std::size_t count,
-                std::int64_t min, std::int64_t max)
+rangeMask(const std::uint32_t *s_indices, std::size_t count,
+          std::int64_t min, std::int64_t max)
 {
     std::uint64_t mask = 0;
     for (std::size_t lane = 0; lane < count; ++lane) {
@@ -29,60 +21,6 @@ rangeMaskScalar(const std::uint32_t *s_indices, std::size_t count,
             mask |= 1ull << lane;
     }
     return mask;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-__attribute__((target("avx2"))) std::uint64_t
-rangeMaskAvx2(const std::uint32_t *s_indices, std::size_t count,
-              std::int64_t min, std::int64_t max)
-{
-    // Clamp the int64 bounds into the uint32 index domain; an empty
-    // clamped interval means no lane can match.
-    constexpr std::int64_t u32_max =
-        std::numeric_limits<std::uint32_t>::max();
-    if (max < 0 || min > u32_max || min > max)
-        return 0;
-    const auto lo = static_cast<std::uint32_t>(min < 0 ? 0 : min);
-    const auto hi = static_cast<std::uint32_t>(max > u32_max ? u32_max
-                                                             : max);
-    const __m256i lov = _mm256_set1_epi32(static_cast<int>(lo));
-    const __m256i hiv = _mm256_set1_epi32(static_cast<int>(hi));
-    std::uint64_t mask = 0;
-    std::size_t lane = 0;
-    for (; lane + 8 <= count; lane += 8) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s_indices + lane));
-        // Unsigned compares via min/max: s >= lo iff max(s, lo) == s,
-        // s <= hi iff min(s, hi) == s.
-        const __m256i ge =
-            _mm256_cmpeq_epi32(_mm256_max_epu32(s, lov), s);
-        const __m256i le =
-            _mm256_cmpeq_epi32(_mm256_min_epu32(s, hiv), s);
-        const int bits = _mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_and_si256(ge, le)));
-        mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits))
-            << lane;
-    }
-    for (; lane < count; ++lane) {
-        const std::uint32_t s = s_indices[lane];
-        if (s >= lo && s <= hi)
-            mask |= 1ull << lane;
-    }
-    return mask;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-std::uint64_t
-rangeMask(const std::uint32_t *s_indices, std::size_t count,
-          std::int64_t min, std::int64_t max)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return rangeMaskAvx2(s_indices, count, min, max);
-#endif
-    return rangeMaskScalar(s_indices, count, min, max);
 }
 
 } // namespace

@@ -95,9 +95,7 @@ class Fnir
      * Evaluate one window of uint32 candidate indices straight from a
      * CSR columns array (the ANT PE's SoA candidate stream). Identical
      * verdicts and counter charges to the int64 overload with each
-     * index zero-extended; the partner-matching comparator bank is
-     * where the AVX2 dispatch lives (8 lanes per vector vs 4 for the
-     * int64 form).
+     * index zero-extended.
      */
     FnirResult evaluate(std::span<const std::uint32_t> s_indices,
                         std::int64_t min, std::int64_t max,

@@ -3,12 +3,6 @@
 #include <atomic>
 
 #include "util/logging.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -16,12 +10,11 @@ namespace {
 
 /**
  * One summed-area-table integration row: out[u] = prev[u] + prefix(u)
- * where prefix is the running sum of the row itself. Scalar ground
- * truth; the AVX2 form computes the identical uint32 (mod 2^32) sums.
+ * where prefix is the running sum of the row itself.
  */
 void
-satIntegrateRowScalar(std::uint32_t *row, const std::uint32_t *prev,
-                      std::size_t n)
+satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
+                std::size_t n)
 {
     std::uint32_t row_sum = 0;
     for (std::size_t u = 0; u < n; ++u) {
@@ -30,10 +23,10 @@ satIntegrateRowScalar(std::uint32_t *row, const std::uint32_t *prev,
     }
 }
 
-/** Ground-truth gather-accumulate: sum of table[idx[i]]. */
+/** Sum of table[idx[i]] for i in [0, n). */
 std::uint64_t
-gatherSumScalar(const std::uint64_t *table, const std::uint32_t *idx,
-                std::size_t n)
+gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
+          std::size_t n)
 {
     std::uint64_t sum = 0;
     for (std::size_t i = 0; i < n; ++i)
@@ -41,172 +34,7 @@ gatherSumScalar(const std::uint64_t *table, const std::uint32_t *idx,
     return sum;
 }
 
-#ifdef ANTSIM_X86_SIMD
-
-/**
- * Inclusive 8-wide prefix sum: shift-add within each 128-bit lane,
- * then propagate the low lane's total into the high lane.
- */
-__attribute__((target("avx2"))) inline __m256i
-prefix8Avx2(__m256i x)
-{
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-    const __m256i low_total = _mm256_blend_epi32(
-        _mm256_setzero_si256(),
-        _mm256_permutevar8x32_epi32(x, _mm256_set1_epi32(3)), 0xF0);
-    return _mm256_add_epi32(x, low_total);
-}
-
-__attribute__((target("avx2"))) void
-satIntegrateRowAvx2(std::uint32_t *row, const std::uint32_t *prev,
-                    std::size_t n)
-{
-    // The running sum is the loop-carried critical path, so the carry
-    // never leaves the vector domain: the only chain per iteration is
-    // one add plus one lane-7 broadcast (~4 cycles per 8 elements,
-    // vs 8 serial adds scalar). The local 8-wide prefix sum is
-    // computed off-chain. uint32 addition is associative mod 2^32, so
-    // the result is bit-identical to the scalar running sum.
-    const __m256i lane7 = _mm256_set1_epi32(7);
-    __m256i carry = _mm256_setzero_si256(); // lane-broadcast running sum
-
-    std::size_t u = 0;
-    // Two vectors per iteration: both local prefixes and the a-to-b
-    // join are off the carry chain, so the chain costs one add plus
-    // one lane-7 broadcast per 16 elements.
-    for (; u + 16 <= n; u += 16) {
-        __m256i a = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u)));
-        __m256i b = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u + 8)));
-        b = _mm256_add_epi32(b, _mm256_permutevar8x32_epi32(a, lane7));
-        a = _mm256_add_epi32(a, carry);
-        b = _mm256_add_epi32(b, carry);
-        carry = _mm256_permutevar8x32_epi32(b, lane7);
-        const __m256i pa = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u));
-        const __m256i pb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u + 8));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u),
-                            _mm256_add_epi32(a, pa));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u + 8),
-                            _mm256_add_epi32(b, pb));
-    }
-    for (; u + 8 <= n; u += 8) {
-        __m256i x = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u)));
-        x = _mm256_add_epi32(x, carry);
-        carry = _mm256_permutevar8x32_epi32(x, lane7);
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u),
-                            _mm256_add_epi32(x, p));
-    }
-    std::uint32_t tail_carry =
-        static_cast<std::uint32_t>(_mm256_extract_epi32(carry, 0));
-    for (; u < n; ++u) {
-        tail_carry += row[u];
-        row[u] = prev[u] + tail_carry;
-    }
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-gatherSumAvx2(const std::uint64_t *table, const std::uint32_t *idx,
-              std::size_t n)
-{
-    // Four independent gather/accumulate streams keep several gathers
-    // in flight at once; u64 addition wraps associatively, so any
-    // accumulation order is exact.
-    const auto *tbl = reinterpret_cast<const long long *>(table);
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i lanes0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i));
-        const __m128i lanes1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 4));
-        const __m128i lanes2 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 8));
-        const __m128i lanes3 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 12));
-        acc0 = _mm256_add_epi64(acc0,
-                                _mm256_i32gather_epi64(tbl, lanes0, 8));
-        acc1 = _mm256_add_epi64(acc1,
-                                _mm256_i32gather_epi64(tbl, lanes1, 8));
-        acc2 = _mm256_add_epi64(acc2,
-                                _mm256_i32gather_epi64(tbl, lanes2, 8));
-        acc3 = _mm256_add_epi64(acc3,
-                                _mm256_i32gather_epi64(tbl, lanes3, 8));
-    }
-    __m256i acc = _mm256_add_epi64(_mm256_add_epi64(acc0, acc1),
-                                   _mm256_add_epi64(acc2, acc3));
-    for (; i + 4 <= n; i += 4) {
-        const __m128i lanes = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i));
-        acc = _mm256_add_epi64(
-            acc, _mm256_i32gather_epi64(
-                     reinterpret_cast<const long long *>(table), lanes,
-                     8));
-    }
-    alignas(32) std::uint64_t parts[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(parts), acc);
-    std::uint64_t sum = parts[0] + parts[1] + parts[2] + parts[3];
-    for (; i < n; ++i)
-        sum += table[idx[i]];
-    return sum;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-void
-satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
-                std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled()) {
-        satIntegrateRowAvx2(row, prev, n);
-        return;
-    }
-#endif
-    satIntegrateRowScalar(row, prev, n);
-}
-
-std::uint64_t
-gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
-          std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return gatherSumAvx2(table, idx, n);
-#endif
-    return gatherSumScalar(table, idx, n);
-}
-
 } // namespace
-
-namespace census_kernels {
-
-// Qualified calls so lookup finds the file-local dispatch wrappers,
-// not these same-named exported shims.
-
-void
-satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev, std::size_t n)
-{
-    antsim::satIntegrateRow(row, prev, n);
-}
-
-std::uint64_t
-gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
-          std::size_t n)
-{
-    return antsim::gatherSum(table, idx, n);
-}
-
-} // namespace census_kernels
 
 namespace census_stats {
 
@@ -414,10 +242,7 @@ ValidTable::ValidTable(const ProblemSpec &spec)
         return;
     const std::uint64_t dil = spec.dilation();
     const std::uint32_t stride = spec.stride();
-    // The +3 tail slack keeps 4-byte gathers at the last (x, s) pair
-    // inside the allocation (see xOkRow); the slack bytes stay zero
-    // and never affect a verdict.
-    xOk_.assign(static_cast<std::size_t>(spec.imageW()) * kernelW_ + 3, 0);
+    xOk_.assign(static_cast<std::size_t>(spec.imageW()) * kernelW_, 0);
     for (std::uint32_t x = 0; x < spec.imageW(); ++x) {
         for (std::uint32_t s = 0; s < kernelW_; ++s) {
             const std::int64_t dx = static_cast<std::int64_t>(x) -
@@ -426,7 +251,7 @@ ValidTable::ValidTable(const ProblemSpec &spec)
                 dx >= 0 && dx % stride == 0 && dx / stride < spec.outW();
         }
     }
-    yOk_.assign(static_cast<std::size_t>(spec.imageH()) * kernelH_ + 3, 0);
+    yOk_.assign(static_cast<std::size_t>(spec.imageH()) * kernelH_, 0);
     for (std::uint32_t y = 0; y < spec.imageH(); ++y) {
         for (std::uint32_t r = 0; r < kernelH_; ++r) {
             const std::int64_t dy = static_cast<std::int64_t>(y) -

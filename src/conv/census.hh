@@ -111,9 +111,8 @@ class ValidTable
 
     /**
      * Row of x-axis verdicts for image column @p x, indexed by s in
-     * [0, kernelW). The row carries at least 3 readable slack bytes
-     * past its logical end so 4-byte-granularity SIMD gathers at any
-     * valid s stay in bounds.
+     * [0, kernelW). Every verdict byte is exactly 0 or 1, so callers
+     * may AND two verdicts instead of branching on them.
      */
     const std::uint8_t *
     xOkRow(std::uint32_t x) const
@@ -137,29 +136,6 @@ class ValidTable
     /** yOk_[y*R + r]: the y-axis conditions hold for (y, r). */
     std::vector<std::uint8_t> yOk_;
 };
-
-namespace census_kernels {
-
-/**
- * The census engine's two SIMD-dispatched hot loops, exposed at kernel
- * granularity for the micro-benchmark perf gate (bench/micro_census +
- * scripts/check_perf.py "micro_speedups") and for equivalence tests.
- * Production code reaches them through CensusContext; these wrappers
- * add nothing but a name with external linkage.
- */
-
-/**
- * One summed-area-table integration step: row[u] += row-prefix plus
- * prev[u] for u in [0, n). @p row and @p prev may not alias.
- */
-void satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
-                     std::size_t n);
-
-/** Sum table[idx[i]] for i in [0, n) (u64 wrap-around, exact). */
-std::uint64_t gatherSum(const std::uint64_t *table,
-                        const std::uint32_t *idx, std::size_t n);
-
-} // namespace census_kernels
 
 namespace census_stats {
 

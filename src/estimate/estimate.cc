@@ -572,7 +572,6 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
             const double g = (j + 0.5) * kgroups / samples;
             const double gi = std::floor(g);
             const double tau = g - gi;
-            const double e0 = gi * kgroup;
 
             t.sramValue += weight * rceil(kgroup / value_per);
             t.sramIndex += weight * rceil(kgroup / index_per);
@@ -594,11 +593,11 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
             std::uint32_t s_min = 0;
             auto s_max = static_cast<std::uint32_t>(kw - 1.0);
             if (rho_k > 0.0 && kgroup < ker.nnz) {
-                // Plane phase of the group start. Deriving it from e0
-                // would alias with the sample stride (and the real
-                // stream's per-plane nnz variance decorrelates phases
-                // anyway), so sweep it as its own low-discrepancy
-                // quantile.
+                // Plane phase of the group start. Deriving it from the
+                // group's stream offset (gi * kgroup) would alias with
+                // the sample stride (and the real stream's per-plane
+                // nnz variance decorrelates phases anyway), so sweep it
+                // as its own low-discrepancy quantile.
                 const double local = ker.nnz *
                     std::fmod((j + 0.5) * 0.3819660112501051, 1.0);
                 if (local > ker.nnz - kgroup + 1.0) {

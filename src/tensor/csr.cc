@@ -5,24 +5,14 @@
 #include <limits>
 
 #include "util/audit.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
 namespace {
 
-/**
- * Count the non-zeros of one row-major float buffer. Ground-truth
- * scalar form; the AVX2 form below must agree bit for bit (a float is
- * counted iff v != 0.0f, which keeps NaNs like the scalar compare).
- */
+/** Count the non-zeros of one row-major float buffer. */
 std::size_t
-countNonzerosScalar(const float *data, std::size_t n)
+countNonzeros(const float *data, std::size_t n)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
@@ -33,11 +23,11 @@ countNonzerosScalar(const float *data, std::size_t n)
 /**
  * Compress one dense row: append the non-zero values and their column
  * indices at @p out_values / @p out_columns, returning how many were
- * written. Scalar ground truth for the AVX2 left-pack kernel.
+ * written.
  */
 std::uint32_t
-compressRowScalar(const float *row, std::uint32_t n, float *out_values,
-                  std::uint32_t *out_columns)
+compressRow(const float *row, std::uint32_t n, float *out_values,
+            std::uint32_t *out_columns)
 {
     std::uint32_t cur = 0;
     for (std::uint32_t x = 0; x < n; ++x) {
@@ -48,115 +38,6 @@ compressRowScalar(const float *row, std::uint32_t n, float *out_values,
         }
     }
     return cur;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-/**
- * Left-pack permutation LUT: perm[mask] lists the set-bit positions of
- * the 8-bit @p mask in ascending order (slack lanes repeat 0; their
- * stores land in the tail pad and are overwritten or ignored).
- */
-struct PackLut
-{
-    alignas(32) std::uint32_t perm[256][8];
-};
-
-const PackLut &
-packLut()
-{
-    static const PackLut lut = [] {
-        PackLut l{};
-        for (int mask = 0; mask < 256; ++mask) {
-            int k = 0;
-            for (int bit = 0; bit < 8; ++bit) {
-                if (mask & (1 << bit))
-                    l.perm[mask][k++] = static_cast<std::uint32_t>(bit);
-            }
-            for (; k < 8; ++k)
-                l.perm[mask][k] = 0;
-        }
-        return l;
-    }();
-    return lut;
-}
-
-__attribute__((target("avx2"))) std::size_t
-countNonzerosAvx2(const float *data, std::size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    std::size_t count = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(data + i);
-        // NEQ_UQ: true for NaN operands, exactly like scalar v != 0.
-        const int mask =
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ));
-        count += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(mask)));
-    }
-    for (; i < n; ++i)
-        count += data[i] != 0.0f ? 1 : 0;
-    return count;
-}
-
-__attribute__((target("avx2"))) std::uint32_t
-compressRowAvx2(const float *row, std::uint32_t n, float *out_values,
-                std::uint32_t *out_columns)
-{
-    const PackLut &lut = packLut();
-    const __m256 zero = _mm256_setzero_ps();
-    std::uint32_t cur = 0;
-    std::uint32_t x = 0;
-    for (; x + 8 <= n; x += 8) {
-        const __m256 v = _mm256_loadu_ps(row + x);
-        const int mask =
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ));
-        const __m256i perm = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(lut.perm[mask]));
-        // Full-vector stores; the lanes beyond popcount(mask) land in
-        // the tail pad allocateStorage reserves and are overwritten by
-        // the next iteration or ignored.
-        _mm256_storeu_ps(out_values + cur,
-                         _mm256_permutevar8x32_ps(v, perm));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out_columns + cur),
-            _mm256_add_epi32(perm, _mm256_set1_epi32(
-                                       static_cast<int>(x))));
-        cur += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(mask)));
-    }
-    for (; x < n; ++x) {
-        if (row[x] != 0.0f) {
-            out_values[cur] = row[x];
-            out_columns[cur] = x;
-            ++cur;
-        }
-    }
-    return cur;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-std::size_t
-countNonzeros(const float *data, std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return countNonzerosAvx2(data, n);
-#endif
-    return countNonzerosScalar(data, n);
-}
-
-std::uint32_t
-compressRow(const float *row, std::uint32_t n, float *out_values,
-            std::uint32_t *out_columns)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return compressRowAvx2(row, n, out_values, out_columns);
-#endif
-    return compressRowScalar(row, n, out_values, out_columns);
 }
 
 } // namespace
@@ -174,17 +55,12 @@ void
 CsrMatrix::allocateStorage(std::size_t nnz)
 {
     nnz_ = narrowNnz(nnz);
-    // 8 elements of tail slack behind the values and columns blocks:
-    // the AVX2 compress kernels store full 8-lane vectors and advance
-    // the cursor by the pack count, so the final store of a row may
-    // spill up to 7 lanes past the data.
-    const std::size_t padded = nnz + 8;
     const std::size_t rows = static_cast<std::size_t>(height_) + 1;
-    arena_.reset(Arena::aligned(padded * sizeof(float)) +
-                 Arena::aligned(padded * sizeof(std::uint32_t)) +
+    arena_.reset(Arena::aligned(nnz * sizeof(float)) +
+                 Arena::aligned(nnz * sizeof(std::uint32_t)) +
                  Arena::aligned(rows * sizeof(std::uint32_t)));
-    valuesOff_ = arena_.alloc<float>(padded);
-    columnsOff_ = arena_.alloc<std::uint32_t>(padded);
+    valuesOff_ = arena_.alloc<float>(nnz);
+    columnsOff_ = arena_.alloc<std::uint32_t>(nnz);
     rowPtrOff_ = arena_.alloc<std::uint32_t>(rows);
 }
 
@@ -253,54 +129,6 @@ CsrMatrix::fromRaw(std::uint32_t height, std::uint32_t width,
         });
 }
 
-CsrMatrix
-CsrMatrix::fromCoo(std::uint32_t height, std::uint32_t width,
-                   std::vector<SparseEntry> entries)
-{
-    for (const auto &e : entries) {
-        ANT_ASSERT(e.x < width && e.y < height, "COO entry (", e.x, ",",
-                   e.y, ") outside ", width, "x", height);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const SparseEntry &a, const SparseEntry &b) {
-                  return a.y != b.y ? a.y < b.y : a.x < b.x;
-              });
-
-    // Counting pass: distinct (y, x) pairs after duplicate folding.
-    std::size_t unique = 0;
-    for (std::size_t i = 0; i < entries.size(); ++unique) {
-        const std::size_t first = i;
-        for (++i; i < entries.size() && entries[i].y == entries[first].y &&
-             entries[i].x == entries[first].x;
-             ++i) {
-        }
-    }
-
-    CsrMatrix csr(height, width, unique);
-    float *values = csr.valuesData();
-    std::uint32_t *columns = csr.columnsData();
-    std::uint32_t *row_ptr = csr.rowPtrData();
-    std::uint32_t cur = 0;
-    for (std::size_t i = 0; i < entries.size();) {
-        float v = entries[i].value;
-        const std::uint32_t x = entries[i].x;
-        const std::uint32_t y = entries[i].y;
-        for (++i;
-             i < entries.size() && entries[i].y == y && entries[i].x == x;
-             ++i) {
-            v += entries[i].value;
-        }
-        values[cur] = v;
-        columns[cur] = x;
-        ++cur;
-        ++row_ptr[y + 1];
-    }
-    for (std::uint32_t y = 0; y < height; ++y)
-        row_ptr[y + 1] += row_ptr[y];
-    csr.maybeValidate();
-    return csr;
-}
-
 double
 CsrMatrix::sparsity() const
 {
@@ -309,22 +137,6 @@ CsrMatrix::sparsity() const
     if (total == 0)
         return 1.0;
     return 1.0 - static_cast<double>(nnz()) / static_cast<double>(total);
-}
-
-std::uint32_t
-CsrMatrix::rowOfPosition(std::uint32_t pos) const
-{
-    ANT_ASSERT(pos < nnz(), "position ", pos, " beyond nnz ", nnz());
-    // Binary search in rowPtr for the containing row.
-    const auto row_ptr = rowPtr();
-    const auto it = std::upper_bound(row_ptr.begin(), row_ptr.end(), pos);
-    return static_cast<std::uint32_t>(it - row_ptr.begin()) - 1;
-}
-
-SparseEntry
-CsrMatrix::entry(std::uint32_t pos) const
-{
-    return {values()[pos], columns()[pos], rowOfPosition(pos)};
 }
 
 Dense2d<float>
@@ -450,74 +262,6 @@ CsrMatrix::operator==(const CsrMatrix &o) const
         std::equal(columns().begin(), columns().end(),
                    o.columns().begin()) &&
         std::equal(rowPtr().begin(), rowPtr().end(), o.rowPtr().begin());
-}
-
-void
-CscMatrix::allocateStorage(std::size_t nnz)
-{
-    nnz_ = narrowNnz(nnz);
-    const std::size_t padded = nnz + 8;
-    const std::size_t cols = static_cast<std::size_t>(width_) + 1;
-    arena_.reset(Arena::aligned(padded * sizeof(float)) +
-                 Arena::aligned(padded * sizeof(std::uint32_t)) +
-                 Arena::aligned(cols * sizeof(std::uint32_t)));
-    valuesOff_ = arena_.alloc<float>(padded);
-    rowsOff_ = arena_.alloc<std::uint32_t>(padded);
-    colPtrOff_ = arena_.alloc<std::uint32_t>(cols);
-}
-
-CscMatrix
-CscMatrix::fromDense(const Dense2d<float> &dense)
-{
-    CscMatrix csc(dense.height(), dense.width());
-    csc.allocateStorage(countNonzerosScalar(dense.data().data(),
-                                            dense.data().size()));
-    float *values = csc.valuesData();
-    std::uint32_t *rows = csc.rowsData();
-    std::uint32_t *col_ptr = csc.colPtrData();
-    std::uint32_t cur = 0;
-    for (std::uint32_t x = 0; x < dense.width(); ++x) {
-        for (std::uint32_t y = 0; y < dense.height(); ++y) {
-            const float v = dense.at(x, y);
-            if (v != 0.0f) {
-                values[cur] = v;
-                rows[cur] = y;
-                ++cur;
-            }
-        }
-        col_ptr[x + 1] = cur;
-    }
-    return csc;
-}
-
-CscMatrix
-CscMatrix::fromCsr(const CsrMatrix &csr)
-{
-    const CsrMatrix t = csr.transposed();
-    CscMatrix csc(csr.height(), csr.width());
-    csc.allocateStorage(t.nnz());
-    if (t.nnz() > 0) {
-        std::memcpy(csc.valuesData(), t.values().data(),
-                    t.nnz() * sizeof(float));
-        std::memcpy(csc.rowsData(), t.columns().data(),
-                    t.nnz() * sizeof(std::uint32_t));
-    }
-    std::memcpy(csc.colPtrData(), t.rowPtr().data(),
-                t.rowPtr().size() * sizeof(std::uint32_t));
-    return csc;
-}
-
-Dense2d<float>
-CscMatrix::toDense() const
-{
-    Dense2d<float> dense(height_, width_);
-    const auto col_ptr = colPtr();
-    const auto row_idx = rows();
-    const auto vals = values();
-    for (std::uint32_t x = 0; x < width_; ++x)
-        for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
-            dense.at(x, row_idx[i]) = vals[i];
-    return dense;
 }
 
 } // namespace antsim

@@ -1,14 +1,15 @@
 /**
  * @file
- * Compressed sparse matrix formats (CSR and CSC) per Sec. 4.1.
+ * Compressed sparse matrix format (CSR) per Sec. 4.1.
  *
  * CSR represents a matrix with three arrays: Values (the non-zero
  * elements in row-major order), Columns (the column index of each
  * stored value), and Row-pointers (the offset of each row's first
- * stored value). CSC is the dual, obtained as the CSR of the
- * transposed matrix; the accelerator's matmul mode (Sec. 5) holds the
- * image plane in CSC so that a group of n consecutive entries shares
- * one column.
+ * stored value). CSC is the dual: the CSR of the transposed matrix,
+ * whose row pointers are the column pointers and whose Columns array
+ * holds row indices. The accelerator's matmul mode (Sec. 5) holds the
+ * image plane in CSC (transposed()) so that a group of n consecutive
+ * entries shares one column.
  *
  * The accelerator models stream these arrays exactly as the hardware's
  * Image/Kernel Values and Indices Buffers would, so iteration order
@@ -17,9 +18,8 @@
  * Storage layout: the three arrays are a structure-of-arrays carved
  * out of one 64-byte-aligned Arena slab (util/arena.hh), sized exactly
  * from the nnz counted before filling. Accessors hand out read-only
- * spans; the SIMD construction kernels (docs/MODEL.md Sec. 11) rely on
- * the alignment, and the exact pre-sizing removes the push_back
- * reallocation churn of the old vector-backed layout.
+ * spans; the exact pre-sizing removes the push_back reallocation churn
+ * of the old vector-backed layout.
  */
 
 #ifndef ANTSIM_TENSOR_CSR_HH
@@ -96,14 +96,6 @@ class CsrMatrix
         return csr;
     }
 
-    /**
-     * Build from an unsorted coordinate list (duplicates are summed,
-     * resulting zeros kept -- callers that need exact-zero dropping
-     * should compress from dense).
-     */
-    static CsrMatrix fromCoo(std::uint32_t height, std::uint32_t width,
-                             std::vector<SparseEntry> entries);
-
     /** Number of rows. */
     std::uint32_t height() const { return height_; }
 
@@ -138,12 +130,6 @@ class CsrMatrix
                 static_cast<std::size_t>(height_) + 1};
     }
 
-    /** Row index of the stored element at flat position @p pos. */
-    std::uint32_t rowOfPosition(std::uint32_t pos) const;
-
-    /** The stored entry at flat position @p pos as (value, x, y). */
-    SparseEntry entry(std::uint32_t pos) const;
-
     /** Decompress back to a dense plane. */
     Dense2d<float> toDense() const;
 
@@ -158,7 +144,7 @@ class CsrMatrix
      */
     CsrMatrix rotated180() const;
 
-    /** Transpose (used to derive the CSC view). */
+    /** Transpose; the CSC form of this matrix (see the file comment). */
     CsrMatrix transposed() const;
 
     /** Panics if the structural invariants are violated. */
@@ -196,79 +182,6 @@ class CsrMatrix
     std::size_t valuesOff_ = 0;
     std::size_t columnsOff_ = 0;
     std::size_t rowPtrOff_ = 0;
-    Arena arena_;
-};
-
-/**
- * Compressed Sparse Column view: the CSR of the transposed matrix,
- * re-labelled. rows() plays the role of the Columns array (it stores
- * row indices) and colPtr() the role of Row-pointers. Same SoA arena
- * layout as CsrMatrix.
- */
-class CscMatrix
-{
-  public:
-    /** Compress a dense plane column-major. */
-    static CscMatrix fromDense(const Dense2d<float> &dense);
-
-    /** Convert from CSR. */
-    static CscMatrix fromCsr(const CsrMatrix &csr);
-
-    /** Number of rows of the logical matrix. */
-    std::uint32_t height() const { return height_; }
-
-    /** Number of columns of the logical matrix. */
-    std::uint32_t width() const { return width_; }
-
-    /** Number of stored non-zeros. */
-    std::uint32_t nnz() const { return nnz_; }
-
-    /** Values in column-major order. */
-    std::span<const float>
-    values() const
-    {
-        return {arena_.ptr<float>(valuesOff_), nnz_};
-    }
-
-    /** Row index of each stored value. */
-    std::span<const std::uint32_t>
-    rows() const
-    {
-        return {arena_.ptr<std::uint32_t>(rowsOff_), nnz_};
-    }
-
-    /** Column-pointer array (width()+1 entries). */
-    std::span<const std::uint32_t>
-    colPtr() const
-    {
-        return {arena_.ptr<std::uint32_t>(colPtrOff_),
-                static_cast<std::size_t>(width_) + 1};
-    }
-
-    /** Decompress to dense. */
-    Dense2d<float> toDense() const;
-
-  private:
-    CscMatrix(std::uint32_t height, std::uint32_t width)
-        : height_(height), width_(width)
-    {}
-
-    /** Arena sizing, as CsrMatrix::allocateStorage. */
-    void allocateStorage(std::size_t nnz);
-
-    float *valuesData() { return arena_.ptr<float>(valuesOff_); }
-    std::uint32_t *rowsData() { return arena_.ptr<std::uint32_t>(rowsOff_); }
-    std::uint32_t *colPtrData()
-    {
-        return arena_.ptr<std::uint32_t>(colPtrOff_);
-    }
-
-    std::uint32_t height_;
-    std::uint32_t width_;
-    std::uint32_t nnz_ = 0;
-    std::size_t valuesOff_ = 0;
-    std::size_t rowsOff_ = 0;
-    std::size_t colPtrOff_ = 0;
     Arena arena_;
 };
 

@@ -5,9 +5,7 @@
  * The CSR/CSC matrices and the census/plan structures keep their
  * values/columns/row-pointer arrays as separate structure-of-arrays
  * buffers carved out of one Arena slab. Every buffer starts on a
- * 64-byte boundary (one cache line, and the widest vector register
- * this simulator targets), so the SIMD kernels (util/simd.hh) can use
- * aligned loads and never straddle an allocation boundary.
+ * 64-byte boundary (one cache line), so no two arrays share a line.
  *
  * The arena is sized exactly once, up front, from the known element
  * counts -- construction paths count first and fill second, which is
@@ -178,8 +176,7 @@ class Arena
 
 /**
  * Minimal growable array with 64-byte-aligned storage, for the PE
- * scratch buffers (candidate streams, merged kernel stacks) that the
- * SIMD kernels read. Holds trivially copyable types only; growth
+ * scratch buffers (candidate streams, merged kernel stacks). Holds trivially copyable types only; growth
  * copies with memcpy and never shrinks, matching how the PEs reuse one
  * scratch vector across thousands of groups.
  */

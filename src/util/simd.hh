@@ -1,56 +1,49 @@
 /**
  * @file
- * Runtime SIMD dispatch policy for the vectorized hot-loop kernels.
- *
- * Every vector kernel in the simulator (census summed-area tables,
- * CSR construction, the SCNN merged kernel stream, FNIR partner
- * matching) exists in two forms: a scalar implementation that is the
- * semantic ground truth and is compiled unconditionally on every
- * platform, and an AVX2 implementation compiled behind a per-function
- * target attribute and selected only at runtime. The two are required
- * to be bit-identical -- tests/simd_equivalence_test.cc asserts
- * byte-equal NetworkStats and Chrome traces across modes -- so the
- * dispatch mode can never influence simulation results, only wall
- * time.
- *
- * Mode resolution: ANTSIM_SIMD=auto|scalar|avx2 is read once at
- * startup; the benches' --simd flag (and tests) override it via
- * setMode(). Auto uses AVX2 exactly when the CPU reports it; forcing
- * avx2 on a CPU without it dies with a clear error instead of
- * SIGILL-ing mid-run.
+ * The three simd calls perfbench/driver.cc makes. The simulator has
+ * one scalar kernel per hot loop and no dispatch: mode() is always
+ * Scalar, avx2Enabled() always false, and setMode() ignores its
+ * argument. The next benchmark change deletes this header together
+ * with the driver's calls. Nothing outside perfbench includes it.
  */
 
 #ifndef ANTSIM_UTIL_SIMD_HH
 #define ANTSIM_UTIL_SIMD_HH
 
-#include <string>
-
 namespace antsim {
 namespace simd {
 
 enum class Mode {
-    Auto,   //!< use AVX2 when the CPU supports it (default)
-    Scalar, //!< force the scalar fallback everywhere
-    Avx2,   //!< require AVX2 (fatal on CPUs without it)
+    Auto,
+    Scalar,
 };
 
-/** The active mode (env-resolved at startup, setMode overrides). */
-Mode mode();
+/** Always Mode::Scalar. */
+inline Mode
+mode()
+{
+    return Mode::Scalar;
+}
 
-/** Override the dispatch mode; fatal for Mode::Avx2 without CPU support. */
-void setMode(Mode mode);
+/** Ignores its argument. */
+inline void
+setMode(Mode)
+{
+}
 
-/** True when the vector kernels should take their AVX2 path. */
-bool avx2Enabled();
+/** Always false. */
+inline bool
+avx2Enabled()
+{
+    return false;
+}
 
-/** Compile-time && runtime AVX2 availability of this build/CPU. */
-bool cpuHasAvx2();
-
-/** Parse "auto" / "scalar" / "avx2"; returns false on anything else. */
-bool parseMode(const std::string &text, Mode &out);
-
-/** Canonical spelling of @p mode. */
-const char *modeName(Mode mode);
+/** Spelling of @p mode in the driver's stamp. */
+inline const char *
+modeName(Mode mode)
+{
+    return mode == Mode::Auto ? "auto" : "scalar";
+}
 
 } // namespace simd
 } // namespace antsim

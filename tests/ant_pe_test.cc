@@ -58,22 +58,35 @@ TEST(AntPe, OutputMatchesDenseReference)
 TEST(AntPe, ExecutedProductSetMatchesAlgorithm2)
 {
     // The hardware realizes Algorithm 2: same executed multiplies,
-    // same valid products, same residual RCPs.
-    for (std::uint64_t seed = 0; seed < 6; ++seed) {
-        const Planes p = makePlanes(5, 12, 0.6, 10 + seed);
-        const CsrMatrix kernel = CsrMatrix::fromDense(p.kernel);
-        const CsrMatrix image = CsrMatrix::fromDense(p.image);
-        AntPeConfig cfg;
-        AntPe pe(cfg);
-        const PeResult r = pe.runPair(p.spec, kernel, image, false);
-        const AnticipateResult alg2 =
-            blockAnticipation(p.spec, kernel, image, cfg.n);
-        EXPECT_EQ(r.counters.get(Counter::MultsExecuted),
-                  alg2.executedProducts)
-            << "seed " << seed;
-        EXPECT_EQ(r.counters.get(Counter::MultsValid), alg2.validProducts);
-        EXPECT_EQ(r.counters.get(Counter::MultsRcp), alg2.residualRcps);
-        EXPECT_EQ(r.counters.get(Counter::RcpsAvoided), alg2.skippedRcps);
+    // same valid products, same residual RCPs. The counting path
+    // (collect_output == false) classifies each selected group in one
+    // branchless loop; sweep_dse's (n, k) grid puts full 8-port groups
+    // through it at n = 8 and the default shape at n = 4.
+    for (const std::uint32_t n : {2u, 4u, 8u}) {
+        for (const std::uint32_t k : {8u, 16u, 32u}) {
+            for (std::uint64_t seed = 0; seed < 6; ++seed) {
+                const Planes p = makePlanes(5, 12, 0.6, 10 + seed);
+                const CsrMatrix kernel = CsrMatrix::fromDense(p.kernel);
+                const CsrMatrix image = CsrMatrix::fromDense(p.image);
+                AntPeConfig cfg;
+                cfg.n = n;
+                cfg.k = k;
+                AntPe pe(cfg);
+                const PeResult r = pe.runPair(p.spec, kernel, image, false);
+                const AnticipateResult alg2 =
+                    blockAnticipation(p.spec, kernel, image, cfg.n);
+                SCOPED_TRACE(::testing::Message() << "n " << n << " k " << k
+                                                  << " seed " << seed);
+                EXPECT_EQ(r.counters.get(Counter::MultsExecuted),
+                          alg2.executedProducts);
+                EXPECT_EQ(r.counters.get(Counter::MultsValid),
+                          alg2.validProducts);
+                EXPECT_EQ(r.counters.get(Counter::MultsRcp),
+                          alg2.residualRcps);
+                EXPECT_EQ(r.counters.get(Counter::RcpsAvoided),
+                          alg2.skippedRcps);
+            }
+        }
     }
 }
 
@@ -258,10 +271,10 @@ TEST(AntPeMatmul, ValidCountMatchesReferenceCensus)
     // Valid products of the matmul = sum over columns x of
     // nnz(image col x) * nnz(kernel row x).
     std::uint64_t want_valid = 0;
-    const CscMatrix csc = CscMatrix::fromCsr(image);
+    const CsrMatrix csc = image.transposed();
     for (std::uint32_t x = 0; x < image.width(); ++x) {
-        want_valid += static_cast<std::uint64_t>(csc.colPtr()[x + 1] -
-                                                 csc.colPtr()[x]) *
+        want_valid += static_cast<std::uint64_t>(csc.rowPtr()[x + 1] -
+                                                 csc.rowPtr()[x]) *
             (kernel.rowPtr()[x + 1] - kernel.rowPtr()[x]);
     }
     EXPECT_EQ(r.counters.get(Counter::MultsValid), want_valid);

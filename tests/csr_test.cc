@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for CSR/CSC compression, rotation (Algorithm 3), and the
+ * Tests for CSR compression, rotation (Algorithm 3), transpose, and the
  * structural invariants of Sec. 4.1.
  */
 
@@ -76,18 +76,6 @@ TEST(Csr, FullyDenseMatrix)
     EXPECT_DOUBLE_EQ(csr.sparsity(), 0.0);
 }
 
-TEST(Csr, EntryLookup)
-{
-    const CsrMatrix csr = CsrMatrix::fromDense(samplePlane());
-    const SparseEntry e = csr.entry(3);
-    EXPECT_EQ(e.value, 7.0f);
-    EXPECT_EQ(e.x, 2u);
-    EXPECT_EQ(e.y, 2u);
-    EXPECT_EQ(csr.rowOfPosition(0), 0u);
-    EXPECT_EQ(csr.rowOfPosition(2), 1u);
-    EXPECT_EQ(csr.rowOfPosition(4), 2u);
-}
-
 TEST(Csr, EntriesEnumerateInStorageOrder)
 {
     const CsrMatrix csr = CsrMatrix::fromDense(samplePlane());
@@ -96,19 +84,6 @@ TEST(Csr, EntriesEnumerateInStorageOrder)
     // y must be non-decreasing (row-major).
     for (std::size_t i = 1; i < entries.size(); ++i)
         EXPECT_LE(entries[i - 1].y, entries[i].y);
-}
-
-TEST(Csr, FromCooSortsAndSumsDuplicates)
-{
-    std::vector<SparseEntry> coo = {
-        {1.0f, 2, 1}, {3.0f, 0, 0}, {2.0f, 2, 1}, {4.0f, 1, 2}};
-    const CsrMatrix csr = CsrMatrix::fromCoo(3, 3, coo);
-    csr.validate();
-    EXPECT_EQ(csr.nnz(), 3u);
-    const Dense2d<float> d = csr.toDense();
-    EXPECT_EQ(d.at(2, 1), 3.0f); // 1 + 2 summed
-    EXPECT_EQ(d.at(0, 0), 3.0f);
-    EXPECT_EQ(d.at(1, 2), 4.0f);
 }
 
 TEST(Csr, FromRawValidates)
@@ -142,14 +117,6 @@ TEST(CsrDeathTest, NnzNarrowingOverflowPanics)
     // narrowing guard must panic instead of silently truncating.
     EXPECT_DEATH(narrowNnz(std::size_t{1} << 32), "overflow");
     EXPECT_EQ(narrowNnz((std::size_t{1} << 32) - 1), 0xffffffffu);
-}
-
-TEST(CsrDeathTest, CooEntryOutsidePlanePanics)
-{
-    // A COO entry with coordinates outside the plane must be caught at
-    // build time, not when a PE later walks off the index arrays.
-    std::vector<SparseEntry> bad = {{1.0f, 7, 0}}; // x=7 in a 3-wide plane
-    EXPECT_DEATH(CsrMatrix::fromCoo(3, 3, bad), "outside");
 }
 
 TEST(Csr, AuditForcedOnValidatesEveryConstructor)
@@ -203,25 +170,6 @@ TEST(Csr, TransposeMatchesDense)
     for (std::uint32_t y = 0; y < d.height(); ++y)
         for (std::uint32_t x = 0; x < d.width(); ++x)
             EXPECT_EQ(td.at(y, x), d.at(x, y));
-}
-
-TEST(Csc, FromDenseMatchesCsrView)
-{
-    const Dense2d<float> d = samplePlane();
-    const CscMatrix csc = CscMatrix::fromDense(d);
-    EXPECT_EQ(csc.nnz(), 5u);
-    EXPECT_EQ(csc.toDense(), d);
-}
-
-TEST(Csc, FromCsrEquivalent)
-{
-    Rng rng(5);
-    const Dense2d<float> d = bernoulliPlane(8, 9, 0.7, rng);
-    const CscMatrix a = CscMatrix::fromDense(d);
-    const CscMatrix b = CscMatrix::fromCsr(CsrMatrix::fromDense(d));
-    EXPECT_EQ(vec(a.values()), vec(b.values()));
-    EXPECT_EQ(vec(a.rows()), vec(b.rows()));
-    EXPECT_EQ(vec(a.colPtr()), vec(b.colPtr()));
 }
 
 } // namespace
