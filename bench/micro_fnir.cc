@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <vector>
+
 #include "ant/ant_pe.hh"
 #include "ant/fnir.hh"
 #include "scnn/scnn_pe.hh"
@@ -23,9 +26,12 @@ BM_FnirEvaluate(benchmark::State &state)
     const auto k = static_cast<std::uint32_t>(state.range(1));
     const Fnir fnir(n, k);
     Rng rng(1);
-    std::vector<std::int64_t> window(k);
-    for (auto &v : window)
-        v = rng.range(0, 31);
+    // A uint32 window sliced from a columns array, as the ANT PE's
+    // candidate stream hands it to the comparator bank.
+    std::vector<std::uint32_t> columns(k);
+    for (auto &v : columns)
+        v = static_cast<std::uint32_t>(rng.range(0, 31));
+    const std::span<const std::uint32_t> window(columns);
     CounterSet counters;
     for (auto _ : state) {
         auto result = fnir.evaluate(window, 8, 23, counters);

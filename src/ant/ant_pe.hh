@@ -23,12 +23,17 @@
  *      min/max screen but fail the exact per-element test are residual
  *      RCPs -- executed and counted, exactly as in the paper.
  *
- * Dataflow: image stationary. Like the SCNN baseline, the PE streams a
+ * Dataflows (Sec. 4.6): both run one group-scan loop (runConvStack);
+ * the dataflow only binds the operands to its roles. Image-stationary
+ * is the description above: like the SCNN baseline, the PE streams a
  * *kernel stack* (the kernel planes of all output channels) against
  * one resident image plane with a single pipeline start-up; for each
  * image group, the windowed candidate streams of the stacked kernels
  * are scanned back to back, and FNIR windows may span kernel-plane
- * boundaries.
+ * boundaries. Kernel-stationary swaps the Image and Kernel buffers:
+ * n entries of the merged kernel stack are held, the x/y ranges
+ * (ProblemSpec::xRange/yRange) replace the s/r ranges, and the image
+ * rows inside the y window stream through the FNIR, which screens x.
  *
  * Matmul mode (Sec. 5): the image is traversed in CSC order so a group
  * shares (mostly) one column x; kernel rows r in [x_0, x_{n-1}] are
@@ -113,16 +118,18 @@ class AntPe : public PeModel
                       const CsrMatrix &image, bool collect_output) override;
 
   private:
-    /** Convolution-mode execution (FNIR active, image stationary). */
+    /**
+     * Convolution-mode execution (FNIR active) in either dataflow:
+     * groups of n stationary entries (image entries, or the merged
+     * kernel stack when kernel-stationary) each scan the row-windowed
+     * candidates of the streamed planes (the kernel stack, or the
+     * image). A counting run classifies products through ValidTable;
+     * a functional run offers them to the accumulator, ports outer and
+     * stationary entries inner.
+     */
     PeResult runConvStack(const ProblemSpec &spec,
                           const std::vector<const CsrMatrix *> &kernels,
                           const CsrMatrix &image, bool collect_output);
-
-    /** Kernel-stationary convolution execution (Sec. 4.6). */
-    PeResult runConvStackKernelStationary(
-        const ProblemSpec &spec,
-        const std::vector<const CsrMatrix *> &kernels,
-        const CsrMatrix &image, bool collect_output);
 
     /** Matmul-mode execution (CSC image traversal, FNIR bypassed). */
     PeResult runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,

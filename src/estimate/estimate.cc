@@ -520,7 +520,7 @@ antConvImageStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
 }
 
 /**
- * ANT kernel-stationary conv task (runConvStackKernelStationary):
+ * ANT kernel-stationary conv task (runConvStack, kernel-stationary):
  * the mirrored dataflow -- kernel groups stationary, the image chunk's
  * y-window rows stream through the FNIR screening x indices.
  */
@@ -541,6 +541,7 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
     const double rho_k = ker.innerH > 0 ? ker.nnz / ker.innerH : 0.0;
 
     double executed = 0.0;
+    double index_elements = 0.0;
     double value_elements = 0.0;
     double image_elements_streamed = 0.0;
 
@@ -706,6 +707,7 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
             const double scan_flow =
                 std::max({cand / k, selected / n, 1.0});
             t.sramIndex += weight * scan_flow * rceil(wlen / index_per);
+            index_elements += weight * scan_flow * wlen;
             value_elements += weight * selected;
             const double sel_per_active =
                 active > 1e-12 ? selected / active : 0.0;
@@ -721,8 +723,8 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
                        all_products);
     t.executed = clampD(executed, t.valid, all_products);
     t.rcpsAvoided = all_products - t.executed;
-    t.sramReadsAvoided =
-        std::max(0.0, image_elements_streamed - value_elements);
+    t.sramReadsAvoided = std::max(
+        0.0, image_elements_streamed - (index_elements + value_elements));
     t.outputIndexPerExecuted = true;
     t.writesPerValid = true;
 }

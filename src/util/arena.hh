@@ -174,103 +174,6 @@ class Arena
     std::size_t used_ = 0;
 };
 
-/**
- * Minimal growable array with 64-byte-aligned storage, for the PE
- * scratch buffers (candidate streams, merged kernel stacks). Holds trivially copyable types only; growth
- * copies with memcpy and never shrinks, matching how the PEs reuse one
- * scratch vector across thousands of groups.
- */
-template <typename T>
-class AlignedVec
-{
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "AlignedVec holds trivially copyable data only");
-
-  public:
-    AlignedVec() = default;
-
-    AlignedVec(const AlignedVec &) = delete;
-    AlignedVec &operator=(const AlignedVec &) = delete;
-
-    ~AlignedVec()
-    {
-        if (data_ != nullptr)
-            ::operator delete(data_, std::align_val_t{Arena::kAlignment});
-    }
-
-    /** Grow to at least @p count elements (contents preserved). */
-    void
-    reserve(std::size_t count)
-    {
-        if (count <= capacity_)
-            return;
-        std::size_t want = capacity_ == 0 ? 64 : capacity_ * 2;
-        if (want < count)
-            want = count;
-        T *grown = static_cast<T *>(::operator new(
-            Arena::aligned(want * sizeof(T)),
-            std::align_val_t{Arena::kAlignment}));
-        if (size_ > 0)
-            std::memcpy(grown, data_, size_ * sizeof(T));
-        if (data_ != nullptr)
-            ::operator delete(data_, std::align_val_t{Arena::kAlignment});
-        data_ = grown;
-        capacity_ = want;
-    }
-
-    /** Resize without initializing new elements beyond size(). */
-    void
-    resize(std::size_t count)
-    {
-        reserve(count);
-        size_ = count;
-    }
-
-    void
-    push_back(const T &v)
-    {
-        reserve(size_ + 1);
-        data_[size_++] = v;
-    }
-
-    /** Append @p count elements copied from @p src (bulk vector copy). */
-    void
-    append(const T *src, std::size_t count)
-    {
-        reserve(size_ + count);
-        if (count > 0)
-            std::memcpy(data_ + size_, src, count * sizeof(T));
-        size_ += count;
-    }
-
-    /** Append @p count copies of @p v (run-length fill). */
-    void
-    appendFill(const T &v, std::size_t count)
-    {
-        reserve(size_ + count);
-        for (std::size_t i = 0; i < count; ++i)
-            data_[size_ + i] = v;
-        size_ += count;
-    }
-
-    void clear() { size_ = 0; }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return capacity_; }
-
-    T *data() { return data_; }
-    const T *data() const { return data_; }
-
-    T &operator[](std::size_t i) { return data_[i]; }
-    const T &operator[](std::size_t i) const { return data_[i]; }
-
-  private:
-    T *data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t capacity_ = 0;
-};
-
 } // namespace antsim
 
 #endif // ANTSIM_UTIL_ARENA_HH

@@ -87,33 +87,6 @@ TEST(ArenaDeathTest, OverflowPanicsInsteadOfCorrupting)
     EXPECT_DEATH(arena.alloc<std::uint32_t>(1), "arena overflow");
 }
 
-TEST(AlignedVec, StorageStays64ByteAlignedAcrossGrowth)
-{
-    AlignedVec<std::uint32_t> v;
-    for (std::uint32_t i = 0; i < 1000; ++i) {
-        v.push_back(i);
-        ASSERT_TRUE(aligned64(v.data()));
-    }
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        ASSERT_EQ(v[i], i);
-}
-
-TEST(AlignedVec, AppendAndFillMatchPushBack)
-{
-    const std::vector<std::uint32_t> src = {5, 4, 3, 2, 1};
-    AlignedVec<std::uint32_t> v;
-    v.append(src.data(), src.size());
-    v.appendFill(9u, 3);
-    ASSERT_EQ(v.size(), 8u);
-    for (std::size_t i = 0; i < src.size(); ++i)
-        EXPECT_EQ(v[i], src[i]);
-    for (std::size_t i = src.size(); i < 8; ++i)
-        EXPECT_EQ(v[i], 9u);
-    v.clear();
-    EXPECT_TRUE(v.empty());
-    EXPECT_GE(v.capacity(), 8u); // clear keeps the allocation
-}
-
 /** Every CSR construction path must hand out 64-byte-aligned SoA
  * buffers, each array starting on its own cache line. */
 TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
